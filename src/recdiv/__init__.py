@@ -18,7 +18,6 @@ from .detect import (
     build_context,
     cross_validate,
     detect,
-    structural_base,
     structural_detect,
 )
 from .fppoly import (
@@ -39,7 +38,6 @@ from .orderstats import OrderRow, artin_fraction, index_histogram, root_order_ro
 from .recurrence import (
     RecurrenceSpec,
     has_zero_bruteforce,
-    perfect_power_probe,
     period_mod,
     term_int,
     term_mod,
@@ -49,7 +47,6 @@ from .sweep import (
     PrimeRow,
     SweepConfig,
     SweepSummary,
-    merge_summaries,
     run_sweep,
     summarize_rows,
     write_csv,

@@ -17,16 +17,10 @@ from functools import lru_cache
 from math import factorial
 
 from .arith import all_divisors, euler_phi, factor_integer, sieve_primes
-from .fppoly import pattern
+from .fppoly import _trim, pattern
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense lists, lowest degree first)
-
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _ipoly(coeffs) -> list[int]:

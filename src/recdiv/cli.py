@@ -1,8 +1,8 @@
 """Command-line surface: analyze, sweep, detect, order-stats, demo.
 
 Exit codes: 0 success, 1 usage error, 2 internal error, 3 check failure.
-The environment variable RECDIV_SEED (a decimal integer) overrides the
-sweep seed.
+The environment variable RECDIV_SEED (a decimal integer) is recorded as the
+sweep's meta.seed; nothing is random, so it changes no result.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_detect(args) -> int:
     spec = _make_spec(args.poly, args.init)
-    policy = DetectPolicy(
-        r_cap=args.r_cap, brute_cap=args.brute_cap, seed=_seed_from_env()
-    )
+    policy = DetectPolicy(r_cap=args.r_cap, brute_cap=args.brute_cap)
     pat, ctx, verdict = detect_full(spec, args.prime, policy)
     p = args.prime
     print(f"p = {p}: pattern {pat.key}, squarefree {'yes' if pat.squarefree else 'no'}")
@@ -164,7 +162,7 @@ def _cmd_demo(args) -> int:
     print("sequence: a_n = 5^n + (3+sqrt(2))^n + (3-sqrt(2))^n")
     print(f"coefficients {list(DEMO_SPEC.coeffs)}, initial terms {list(DEMO_SPEC.init)}")
     print("whenever x^2-6x+7 stays irreducible mod p, the detector base must be 25/7 mod p:")
-    rows = base_table(limit=args.limit, seed=_seed_from_env())
+    rows = base_table(limit=args.limit)
     bad = 0
     for row in rows:
         if row.base is None:

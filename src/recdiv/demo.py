@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import sieve_primes
-from .detect import Excluded, build_context, structural_base
+from .detect import Excluded, build_context
 from .recurrence import RecurrenceSpec
 
 DEMO_SPEC = RecurrenceSpec.from_char_poly([1, -11, 37, -35], [3, 11, 47])
@@ -33,22 +33,14 @@ class DemoRow:
     expected: int | None = None
 
 
-def base_table(limit: int = 1000, seed: int = 0) -> list[DemoRow]:
+def base_table(limit: int = 1000) -> list[DemoRow]:
     """Per-prime comparison of the computed base against 25/7 mod p."""
     rows = []
     for p in sieve_primes(limit):
-        ctx = build_context(DEMO_SPEC, p, seed)
+        ctx = build_context(DEMO_SPEC, p)
         if isinstance(ctx, Excluded):
             rows.append(DemoRow(p, ctx.reason))
             continue
         want = expected_base(p)
-        got = structural_base(ctx)
-        rows.append(DemoRow(p, "ok" if got == want else "mismatch", got, want))
+        rows.append(DemoRow(p, "ok" if ctx.base == want else "mismatch", ctx.base, want))
     return rows
-
-
-def base_check(limit: int = 1000, seed: int = 0) -> bool:
-    """True when every structural prime up to limit reproduces 25/7 mod p."""
-    rows = base_table(limit, seed)
-    checked = [r for r in rows if r.status in ("ok", "mismatch")]
-    return bool(checked) and all(r.status == "ok" for r in checked)

@@ -1,18 +1,20 @@
 """Per-prime divisorship decision for primes with factorization pattern (1, d-1).
 
 For such a prime, the characteristic polynomial splits mod p as a linear
-factor times an irreducible factor of degree d-1. Working in the quotient
-field built on the big factor, every term decomposes along powers of the
-roots, and writing n = k*Q + r with Q = (p^{d-1}-1)/(p-1) collapses the
-extension roots through the norm map. The zero condition a_n = 0 mod p then
-becomes a pure base-field statement: for some r < Q, the ratio
+factor x - a1 times an irreducible factor g of degree d-1. Over the
+splitting field every term decomposes along powers of the roots, and
+writing n = k*Q + r with Q = (p^{d-1}-1)/(p-1) collapses the extension
+roots through the norm map. The zero condition a_n = 0 mod p then becomes a
+pure base-field statement: for some r < Q, the ratio
 
     RHS_r = -(a_r - gamma1 * a1^r) / (gamma1 * a1^r)
 
 lies in the cyclic subgroup generated by the base G = a1^d / ((-1)^d c_0).
 Membership is decided by the power test RHS^ord(G) = 1; the scan over
 r < Q is therefore a complete decision procedure, cross-validated against
-the brute-force period scan.
+the brute-force period scan. Only base-field numbers enter: gamma1, the
+coefficient of a1^n in a_n, has the closed form sum_k g_k a_k / g(a1),
+because g annihilates every root but a1.
 
 Scans start with the direct power test and switch to a precomputed discrete
 log table when a scan runs long, which keeps full nondivisor scans linear
@@ -26,16 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factor_integer, mult_order, sieve_primes
-from .fppoly import (
-    ExtElem,
-    ExtField,
-    ext_norm,
-    factor_mod_p,
-    frobenius,
-    pattern,
-    reduce_poly,
-    solve_gamma,
-)
+from .fppoly import FactorPattern, _eval, fp_root, pattern
 from .recurrence import (
     RecurrenceSpec,
     has_zero_bruteforce,
@@ -46,6 +39,9 @@ from .recurrence import (
 
 # Scan steps taken with the direct power test before building a dlog table.
 _TABLE_THRESHOLD = 256
+
+# Exact terms a_0..a_ZERO_SCAN_BOUND are searched for a zero (degenerate runs).
+ZERO_SCAN_BOUND = 200
 
 EXCLUSION_REASONS = (
     "ramified",
@@ -68,24 +64,18 @@ class Excluded:
 class StructuralContext:
     """Everything the structural detector needs at one prime.
 
-    root_base is the residue of the linear factor's root, conj_roots the
-    Frobenius orbit of the extension root, base the subgroup generator
-    a1^d / ((-1)^d c0), and q the exponent split (p^{d-1}-1)/(p-1).
+    root_base is the residue a1 of the linear factor's root, gamma1 the
+    coefficient of a1^n in a_n, nloc = (-1)^d c0, base the subgroup
+    generator a1^d / nloc, and q the exponent split (p^{d-1}-1)/(p-1).
     """
 
     p: int
     root_base: int
-    ext: ExtField
-    conj_roots: tuple[ExtElem, ...]
-    gammas: tuple[ExtElem, ...]
+    gamma1: int
     nloc: int
     base: int
     ord_base: int
     q: int
-
-    @property
-    def gamma1(self) -> int:
-        return self.gammas[0].base_value()
 
     @property
     def index_base(self) -> int:
@@ -105,13 +95,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DetectPolicy:
-    """Budgets and determinism knobs for detection."""
+    """Scan budgets for detection."""
 
     r_cap: int = 2_000_000
     brute_cap: int = 10_000_000
-    seed: int = 0
-    recover_witness: bool = True
-    zero_scan_bound: int = 200
 
 
 DEFAULT_POLICY = DetectPolicy()
@@ -125,55 +112,51 @@ def _verified_divisor(
     return Verdict("divisor", method=method, witness=witness, detail=detail)
 
 
-def build_context(spec: RecurrenceSpec, p: int, seed: int = 0) -> StructuralContext | Excluded:
-    """Structural context at p, or the exclusion that prevents it."""
+def build_context(
+    spec: RecurrenceSpec, p: int, pat: FactorPattern | None = None
+) -> StructuralContext | Excluded:
+    """Structural context at p, or the exclusion that prevents it.
+
+    pat, when given, must be the pattern of the characteristic polynomial
+    at p; it saves computing it again.
+    """
     d = spec.order
     if d < 3:
         return Excluded("pattern-mismatch", "structural path needs order >= 3")
     if spec.coeffs[0] % p == 0:
         return Excluded("divides-c0")
     cp = spec.char_poly()
-    pat = pattern(cp, p, seed)
+    if pat is None:
+        pat = pattern(cp, p)
     if not pat.squarefree:
         return Excluded("ramified")
     if pat.degrees != (d - 1, 1):
         return Excluded("pattern-mismatch", f"pattern {pat.key}")
-    factors = factor_mod_p(reduce_poly(cp, p), seed)
-    linear = next(g for g, _ in factors if g.degree == 1)
-    big = next(g for g, _ in factors if g.degree == d - 1)
-    a1 = -linear.coeffs[0] % p
-    ext = ExtField(p, big)
-    alpha = ext.gen()
-    conj = [alpha]
-    for _ in range(d - 2):
-        conj.append(frobenius(conj[-1]))
-    roots = [ext.embed(a1)] + conj
-    gammas = solve_gamma(roots, [v % p for v in spec.init])
-    if gammas[0].base_value() == 0:
+    a1 = fp_root(cp, p)
+    # g = char poly / (x - a1) by synthetic division, lowest degree first
+    g = [1] * d
+    for k in range(d - 1, 0, -1):
+        g[k - 1] = (cp[k] + a1 * g[k]) % p
+    # g kills every root but a1, so sum_k g_k a_k = gamma1 * g(a1)
+    gamma1 = sum(gk * a for gk, a in zip(g, spec.init)) * pow(_eval(g, a1, p), -1, p) % p
+    if gamma1 == 0:
         return Excluded("gamma1-vanishes")
     nloc = (-1) ** d * spec.coeffs[0] % p
     base = pow(a1, d, p) * pow(nloc, -1, p) % p
     ord_base = mult_order(base, p, factor_integer(p - 1))
     q = (p ** (d - 1) - 1) // (p - 1)
     if __debug__:
-        assert nloc == a1 * ext_norm(conj[0]) % p, "norm identity violated"
+        assert nloc == a1 * (-1) ** (d - 1) * g[0] % p, "norm identity violated"
         assert q % (p - 1) == (d - 1) % (p - 1), "exponent congruence violated"
     return StructuralContext(
         p=p,
         root_base=a1,
-        ext=ext,
-        conj_roots=tuple(conj),
-        gammas=tuple(gammas),
+        gamma1=gamma1,
         nloc=nloc,
         base=base,
         ord_base=ord_base,
         q=q,
     )
-
-
-def structural_base(ctx: StructuralContext) -> int:
-    """The subgroup generator G = a1^d / ((-1)^d c0) mod p."""
-    return ctx.base
 
 
 def _dlog_table(p: int) -> tuple[list[int], int]:
@@ -216,13 +199,11 @@ def structural_detect(
     ctx: StructuralContext,
     spec: RecurrenceSpec,
     r_cap: int,
-    recover_witness: bool = True,
 ) -> Verdict:
     """Scan r = 0..min(Q, r_cap)-1 for a subgroup membership hit.
 
-    Divisor verdicts carry the witness n = k*Q + r (re-verified) when
-    recover_witness is set; NonDivisor is only reported after the full
-    range r < Q has been scanned.
+    Divisor verdicts carry the witness n = k*Q + r (re-verified);
+    NonDivisor is only reported after the full range r < Q has been scanned.
     """
     p = ctx.p
     full = ctx.q
@@ -263,8 +244,6 @@ def structural_detect(
             detail=f"scanned {limit} of {full} residues",
         )
     r, t, pw = hit
-    if not recover_witness:
-        return Verdict("divisor", method="structural", witness=None)
     rhs = (p - t) * pow(pw, -1, p) % p
     if ordg == 1:
         k = 0
@@ -288,8 +267,8 @@ def detect_full(
     spec: RecurrenceSpec, p: int, policy: DetectPolicy = DEFAULT_POLICY
 ):
     """(pattern, context or None, verdict) for one prime."""
-    pat = pattern(spec.char_poly(), p, policy.seed)
-    zero_index = _first_exact_zero(spec, policy.zero_scan_bound)
+    pat = pattern(spec.char_poly(), p)
+    zero_index = _first_exact_zero(spec, ZERO_SCAN_BOUND)
     if zero_index is not None:
         return pat, None, _verified_divisor(
             spec, p, zero_index, "none", detail="degenerate: zero term"
@@ -300,10 +279,10 @@ def detect_full(
         return pat, None, Verdict("excluded", reason="ramified")
     d = spec.order
     if d >= 3 and pat.degrees == (d - 1, 1):
-        res = build_context(spec, p, policy.seed)
+        res = build_context(spec, p, pat)
         if isinstance(res, Excluded):
             return pat, None, Verdict("excluded", reason=res.reason, detail=res.detail)
-        verdict = structural_detect(res, spec, policy.r_cap, policy.recover_witness)
+        verdict = structural_detect(res, spec, policy.r_cap)
         return pat, res, verdict
     scan = has_zero_bruteforce(spec, p, policy.brute_cap)
     if scan.kind == "divisor":
@@ -321,7 +300,7 @@ def detect(spec: RecurrenceSpec, p: int, policy: DetectPolicy = DEFAULT_POLICY) 
 
 
 def cross_validate(
-    spec: RecurrenceSpec, prime_limit: int, cap: int = 10_000_000, seed: int = 0
+    spec: RecurrenceSpec, prime_limit: int, cap: int = 10_000_000
 ) -> list[tuple[int, str, str]]:
     """Run both detectors on every unexcluded (1, d-1) prime; list mismatches.
 
@@ -330,7 +309,7 @@ def cross_validate(
     """
     mismatches = []
     for p in sieve_primes(prime_limit):
-        res = build_context(spec, p, seed)
+        res = build_context(spec, p)
         if isinstance(res, Excluded):
             continue
         sv = structural_detect(res, spec, r_cap=res.q)

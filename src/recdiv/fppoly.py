@@ -6,11 +6,12 @@ helpers work on bare lists plus an explicit modulus p; the dataclasses
 FpPoly, FactorPattern, ExtField and ExtElem wrap them for the public
 surface.
 
-Factorization runs squarefree decomposition, then distinct-degree
-splitting, then Cantor-Zassenhaus equal-degree splitting (trace-based for
-p = 2). The equal-degree stage is randomized internally but seeded from
-(seed, p, coefficients), and factor lists are sorted by degree then
-coefficients, so output is reproducible across runs and worker counts.
+Factorization patterns need only squarefree decomposition and
+distinct-degree splitting, so `pattern` is deterministic. Full factorization
+(`factor_mod_p`) adds Cantor-Zassenhaus equal-degree splitting (trace-based
+for p = 2); that stage is randomized but seeded from (seed, p,
+coefficients), and factor lists are sorted by degree then coefficients, so
+its output is reproducible too.
 """
 
 from __future__ import annotations
@@ -307,26 +308,27 @@ def factor_mod_p(f: FpPoly, seed: int = 0) -> list[tuple[FpPoly, int]]:
     return result
 
 
-def _int_trim(coeffs) -> list[int]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
+    """Factorization pattern of an integer polynomial mod p.
 
-
-def pattern(coeffs: list[int] | tuple[int, ...], p: int, seed: int = 0) -> FactorPattern:
-    """Factorization pattern of an integer polynomial mod p."""
-    coeffs = _int_trim(coeffs)
+    Degrees come from squarefree decomposition and distinct-degree splitting
+    alone: a distinct-degree product of degree k*e at degree e holds k
+    irreducible factors of degree e.
+    """
+    coeffs = _trim(list(coeffs))
     if coeffs and coeffs[-1] % p == 0:
         raise ValueError("pattern undefined at this prime")
-    f = reduce_poly(coeffs, p)
-    factors = factor_mod_p(f, seed)
-    degrees = tuple(
-        sorted((g.degree for g, m in factors for _ in range(m)), reverse=True)
-    )
-    d = _deriv(list(f.coeffs), p)
-    squarefree = bool(d) and _gcd_poly(list(f.coeffs), d, p) == [1]
-    return FactorPattern(p, degrees, squarefree)
+    f = _trim([c % p for c in coeffs])
+    if not f:
+        raise ValueError("zero polynomial")
+    degrees = []
+    for part, mult in _sqf_list(_monic(f, p), p):
+        for prod, e in _ddf(part, p):
+            degrees += [e] * ((len(prod) - 1) // e * mult)
+    degrees.sort(reverse=True)
+    d = _deriv(f, p)
+    squarefree = bool(d) and _gcd_poly(f, d, p) == [1]
+    return FactorPattern(p, tuple(degrees), squarefree)
 
 
 def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
@@ -335,7 +337,7 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
     This is the fixed choice of root used everywhere downstream; any other
     deterministic choice would do equally well.
     """
-    coeffs = _int_trim(coeffs)
+    coeffs = _trim(list(coeffs))
     if coeffs and coeffs[-1] % p == 0:
         raise ValueError("root search undefined at this prime")
     f = _trim([c % p for c in coeffs])

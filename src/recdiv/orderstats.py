@@ -106,7 +106,7 @@ def artin_fraction(a: int, limit: int) -> Fraction:
     return Fraction(hits, total) if total else Fraction(0, 1)
 
 
-def base_order_rows(spec: RecurrenceSpec, limit: int, seed: int = 0) -> list[OrderRow]:
+def base_order_rows(spec: RecurrenceSpec, limit: int) -> list[OrderRow]:
     """Order rows for the structural base G over the spec's (1, d-1) primes.
 
     The companion statistic to the root-order rows: the scan length of the
@@ -115,15 +115,13 @@ def base_order_rows(spec: RecurrenceSpec, limit: int, seed: int = 0) -> list[Ord
     """
     rows = []
     for p in sieve_primes(limit):
-        ctx = build_context(spec, p, seed)
+        ctx = build_context(spec, p)
         if isinstance(ctx, Excluded):
             continue
         rows.append(OrderRow(p, ctx.base, ctx.ord_base, ctx.index_base))
     return rows
 
 
-def base_index_histogram(
-    spec: RecurrenceSpec, limit: int, c_grid, seed: int = 0
-) -> list[tuple[int, Fraction]]:
+def base_index_histogram(spec: RecurrenceSpec, limit: int, c_grid) -> list[tuple[int, Fraction]]:
     """Index histogram for the structural base G."""
-    return _histogram(base_order_rows(spec, limit, seed), c_grid)
+    return _histogram(base_order_rows(spec, limit), c_grid)

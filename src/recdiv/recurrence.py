@@ -104,52 +104,15 @@ def _mod_recurrence(spec: RecurrenceSpec, p: int) -> tuple[list[int], list[int]]
 
 def term_stream(spec: RecurrenceSpec, p: int):
     """Yields a_0, a_1, ... mod p indefinitely."""
-    ks, state = _mod_recurrence(spec, p)
-    d = spec.order
-    if d == 3:
-        k0, k1, k2 = ks
-        a, b, c = state
-        while True:
-            yield a
-            a, b, c = b, c, (k0 * a + k1 * b + k2 * c) % p
-    elif d == 1:
-        k0 = ks[0]
-        a = state[0]
-        while True:
-            yield a
-            a = k0 * a % p
-    else:
-        window = list(state)
-        while True:
-            yield window[0]
-            window = window[1:] + [sum(k * v for k, v in zip(ks, window)) % p]
+    ks, window = _mod_recurrence(spec, p)
+    while True:
+        yield window[0]
+        window = window[1:] + [sum(k * v for k, v in zip(ks, window)) % p]
 
 
 def _walk_period(spec: RecurrenceSpec, p: int) -> int:
     ks, s0 = _mod_recurrence(spec, p)
-    d = spec.order
-    bound = p**d + 1
-    if d == 1:
-        k0, t0 = ks[0], s0[0]
-        a = k0 * t0 % p
-        steps = 1
-        while a != t0:
-            a = k0 * a % p
-            steps += 1
-            if steps > bound:
-                raise RuntimeError("period walk exceeded the state count")
-        return steps
-    if d == 3:
-        k0, k1, k2 = ks
-        t0, t1, t2 = s0
-        a, b, c = t1, t2, (k0 * t0 + k1 * t1 + k2 * t2) % p
-        steps = 1
-        while not (a == t0 and b == t1 and c == t2):
-            a, b, c = b, c, (k0 * a + k1 * b + k2 * c) % p
-            steps += 1
-            if steps > bound:
-                raise RuntimeError("period walk exceeded the state count")
-        return steps
+    bound = p**spec.order + 1
     state = s0[1:] + [sum(k * v for k, v in zip(ks, s0)) % p]
     steps = 1
     while state != s0:
@@ -251,39 +214,3 @@ def zero_term_scan(spec: RecurrenceSpec, bound: int) -> list[int]:
         if next(it) == 0:
             out.append(n)
     return out
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor k-th root of n >= 0, exact integer arithmetic."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    all_powers: bool
-    counterexample: int | None = None
-
-
-def perfect_power_probe(
-    spec: RecurrenceSpec, power: int, stride: int, offset: int, count: int
-) -> ProbeResult:
-    """Check whether |a_{stride*n + offset}| is a perfect power for n < count.
-
-    This is an integer-power check only; returns the first failing n if any.
-    """
-    if power < 2 or stride < 1 or offset < 0:
-        raise ValueError("need power >= 2, stride >= 1, offset >= 0")
-    if stride * count + offset > TERM_INT_GUARD:
-        raise ValueError("probe range exceeds the exact-term guard")
-    for n in range(count):
-        v = abs(term_int(spec, stride * n + offset))
-        if _iroot(v, power) ** power != v:
-            return ProbeResult(False, counterexample=n)
-    return ProbeResult(True)

@@ -2,9 +2,9 @@
 
 Rows are computed independently per prime (all lower layers are pure), so
 the sweep partitions primes into contiguous blocks, farms the blocks out to
-worker processes, and merges results in prime order. Output is byte
-identical across worker counts; the only randomness anywhere (equal-degree
-splitting) is derived from the config seed and the per-prime inputs.
+worker processes, and merges results in prime order. Nothing on the sweep
+path is random, so output is byte identical across runs and worker counts;
+the config seed is only recorded in the JSON metadata.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 from .arith import sieve_primes
 from .charpoly import analyze_poly
-from .detect import DetectPolicy, detect_full
+from .detect import ZERO_SCAN_BOUND, DetectPolicy, detect_full
 from .recurrence import RecurrenceSpec, zero_term_scan
 
-# Keeps p^(d-1) - 1, the largest integer the extension arithmetic factors,
-# inside the fixed-width budget documented for the CSV schema.
+# A sweep factors only p - 1, so its caps bound cost and column width: a
+# long structural scan builds an O(p) discrete-log table, and
+# limit^(d-1) < 2^63 keeps the Q column, (p^(d-1)-1)/(p-1), within 63 bits.
 MAX_LIMIT = 3_000_000
+MAX_ORDER = 5
 _WORD_GUARD = 2**63
 
 CSV_HEADER = "p,pattern,squarefree,excluded_reason,verdict,method,witness_n,ord_G,index_G,Q"
@@ -58,6 +60,8 @@ class PrimeRow:
 
 def _validate_config(config: SweepConfig) -> None:
     d = config.spec.order
+    if d > MAX_ORDER:
+        raise ValueError(f"order {d} exceeds the sweep cap of {MAX_ORDER}")
     if config.limit > MAX_LIMIT or config.limit ** max(1, d - 1) >= _WORD_GUARD:
         raise ValueError(
             f"limit {config.limit} violates the sweep guard for order {d}"
@@ -67,7 +71,10 @@ def _validate_config(config: SweepConfig) -> None:
 
 
 def _row_for_prime(spec: RecurrenceSpec, p: int, policy: DetectPolicy) -> PrimeRow:
-    pat, ctx, v = detect_full(spec, p, policy)
+    try:
+        pat, ctx, v = detect_full(spec, p, policy)
+    except Exception as exc:
+        raise RuntimeError(f"p={p}, {spec.fingerprint()}: {exc}") from exc
     ord_g = index_g = q = None
     if ctx is not None:
         ord_g, index_g, q = ctx.ord_base, ctx.index_base, ctx.q
@@ -212,19 +219,12 @@ def summarize_rows(fingerprint: str, rows: list[PrimeRow]) -> SweepSummary:
     return summary
 
 
-def merge_summaries(s1: SweepSummary, s2: SweepSummary) -> SweepSummary:
-    """Componentwise sum over disjoint prime ranges of the same sequence."""
-    return s1.merged(s2)
-
-
 def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
     """All rows for primes <= limit, in prime order, plus the summary fold."""
     _validate_config(config)
     spec = config.spec
     profile = analyze_poly(list(spec.char_poly()))
-    policy = DetectPolicy(
-        r_cap=config.r_cap, brute_cap=config.brute_cap, seed=config.seed
-    )
+    policy = DetectPolicy(r_cap=config.r_cap, brute_cap=config.brute_cap)
     primes = sieve_primes(config.limit)
     if config.workers > 1 and len(primes) >= 4 * config.workers:
         size = max(32, -(-len(primes) // (config.workers * 8)))
@@ -236,7 +236,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
     else:
         rows = [_row_for_prime(spec, p, policy) for p in primes]
     summary = summarize_rows(spec.fingerprint(), rows)
-    zeros = zero_term_scan(spec, policy.zero_scan_bound)
+    zeros = zero_term_scan(spec, ZERO_SCAN_BOUND)
     summary.meta = {
         "coeffs": list(spec.coeffs),
         "init": list(spec.init),

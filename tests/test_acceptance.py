@@ -10,7 +10,7 @@ import pytest
 from recdiv.arith import sieve_primes
 from recdiv.charpoly import discriminant, nondegeneracy, sd_certificate
 from recdiv.demo import DEMO_SPEC, expected_base
-from recdiv.detect import Excluded, build_context, cross_validate, structural_base
+from recdiv.detect import Excluded, build_context, cross_validate
 from recdiv.orderstats import artin_fraction, index_histogram
 from recdiv.recurrence import RecurrenceSpec, period_mod
 from recdiv.sweep import SweepConfig, run_sweep
@@ -57,7 +57,7 @@ def test_criterion_1_demo_base_reproduction():
         if isinstance(ctx, Excluded):
             continue
         checked += 1
-        if structural_base(ctx) != expected_base(p):
+        if ctx.base != expected_base(p):
             bad.append(p)
     _report(
         1,

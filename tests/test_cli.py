@@ -101,6 +101,24 @@ def test_demo_check_passes(capsys):
     assert "check passed" in out
 
 
+def test_failed_prime_names_prime_and_sequence(capsys, monkeypatch):
+    import recdiv.sweep
+
+    real = recdiv.sweep.detect_full
+
+    def faulty(spec, p, policy):
+        if p == 7:
+            raise RuntimeError("injected fault")
+        return real(spec, p, policy)
+
+    monkeypatch.setattr(recdiv.sweep, "detect_full", faulty)
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "50",
+              "--workers", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "p=7" in err and "c=-1,-1,-1;a=1,1,1" in err and "injected fault" in err
+
+
 def test_internal_errors_exit_2(capsys):
     # limit beyond the sweep guard is caught inside run_sweep, not argparse
     rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "9999999"])

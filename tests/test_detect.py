@@ -1,7 +1,7 @@
 import pytest
 
 from recdiv.arith import sieve_primes
-from recdiv.demo import DEMO_SPEC, base_check, base_table, expected_base
+from recdiv.demo import DEMO_SPEC, base_table, expected_base
 from recdiv.detect import (
     DetectPolicy,
     Excluded,
@@ -10,10 +10,41 @@ from recdiv.detect import (
     cross_validate,
     detect,
     detect_full,
-    structural_base,
     structural_detect,
 )
+from recdiv.fppoly import ExtField, ext_norm, factor_mod_p, frobenius, reduce_poly, solve_gamma
 from recdiv.recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
+
+TETRANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1], [1, 1, 1, 1])
+PENTANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1, -1], [1, 1, 1, 1, 1])
+
+STRUCTURAL_SPECS = {
+    "tribonacci": RecurrenceSpec.from_char_poly([1, -1, -1, -1], [1, 1, 1]),
+    "tribonacci-2-5-1": RecurrenceSpec.from_char_poly([1, -1, -1, -1], [2, 5, 1]),
+    "demo": DEMO_SPEC,
+    "x^3-2": RecurrenceSpec.from_char_poly([1, 0, 0, -2], [1, 2, 3]),
+    "tetranacci": TETRANACCI,
+    "pentanacci": PENTANACCI,
+    "x^5-x-1": RecurrenceSpec.from_char_poly([1, 0, 0, 0, -1, -1], [1, 2, 3, 4, 5]),
+}
+
+
+def _big_factor(spec, p):
+    return factor_mod_p(reduce_poly(spec.char_poly(), p))[-1][0]
+
+
+def _vandermonde_gamma1(spec, p):
+    """gamma1 solved over F_{p^(d-1)}, or None off the (d-1, 1) pattern."""
+    d = spec.order
+    factors = factor_mod_p(reduce_poly(spec.char_poly(), p))
+    if [(g.degree, m) for g, m in factors] != [(1, 1), (d - 1, 1)]:
+        return None
+    ext = ExtField(p, factors[1][0])
+    conj = [ext.gen()]
+    for _ in range(d - 2):
+        conj.append(frobenius(conj[-1]))
+    roots = [ext.embed(-factors[0][0].coeffs[0])] + conj
+    return solve_gamma(roots, list(spec.init))[0].base_value()
 
 
 def test_build_context_tribonacci_p7(tribonacci):
@@ -33,7 +64,6 @@ def test_build_context_demo_bases():
     assert ctx.base == 25 * pow(7, -1, 11) % 11 == 2
     ctx = build_context(DEMO_SPEC, 13)
     assert ctx.base == 11  # 7^{-1} = 2 mod 13, and 50 mod 13 = 11
-    assert structural_base(ctx) == 11
 
 
 def test_build_context_exclusions(tribonacci):
@@ -53,13 +83,12 @@ def test_build_context_gamma1_vanishes(tribonacci):
     spec = RecurrenceSpec(tribonacci.coeffs, (2, 5, 1))
     res = build_context(spec, 7)
     assert isinstance(res, Excluded) and res.reason == "gamma1-vanishes"
+    assert _vandermonde_gamma1(spec, 7) == 0
     # the same spec at other structural primes is generically fine
     assert isinstance(build_context(spec, 13), StructuralContext)
 
 
 def test_context_invariants(tribonacci):
-    from recdiv.fppoly import ext_norm
-
     for p in sieve_primes(300):
         ctx = build_context(tribonacci, p)
         if isinstance(ctx, Excluded):
@@ -67,7 +96,9 @@ def test_context_invariants(tribonacci):
         d = tribonacci.order
         assert ctx.q % (p - 1) == (d - 1) % (p - 1)
         assert (p - 1) % ctx.ord_base == 0
-        assert ctx.nloc == ctx.root_base * ext_norm(ctx.conj_roots[0]) % p
+        # norm identity: (-1)^d c0 = a1 * N(theta), theta a root of the big factor
+        theta = ExtField(p, _big_factor(tribonacci, p)).gen()
+        assert ctx.nloc == ctx.root_base * ext_norm(theta) % p
         assert ctx.gamma1 != 0
         assert ctx.base != 0
 
@@ -95,10 +126,25 @@ def test_structural_detect_empty_scan(tribonacci):
     assert v.kind == "indeterminate"
 
 
-def test_structural_detect_without_witness_recovery(tribonacci):
-    ctx = build_context(tribonacci, 7)
-    v = structural_detect(ctx, tribonacci, r_cap=ctx.q, recover_witness=False)
-    assert v.kind == "divisor" and v.witness is None
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_SPECS))
+def test_build_context_gamma1_matches_vandermonde(name):
+    # the closed form sum_k g_k a_k / g(a1) against the extension-field solve
+    spec = STRUCTURAL_SPECS[name]
+    checked = 0
+    for p in sieve_primes(1000):
+        if spec.coeffs[0] % p == 0:
+            continue
+        want = _vandermonde_gamma1(spec, p)
+        res = build_context(spec, p)
+        if want is None:
+            assert isinstance(res, Excluded), p
+            assert res.reason in ("ramified", "pattern-mismatch"), p
+        elif want == 0:
+            assert res == Excluded("gamma1-vanishes"), p
+        else:
+            assert isinstance(res, StructuralContext) and res.gamma1 == want, p
+            checked += 1
+    assert checked >= 20
 
 
 def test_structural_nondivisor_full_scan():
@@ -169,6 +215,8 @@ def test_cross_validate_empty_on_small_ranges(tribonacci):
     assert cross_validate(tribonacci, 300) == []
     assert cross_validate(DEMO_SPEC, 300) == []
     assert cross_validate(tribonacci, 2) == []
+    assert cross_validate(TETRANACCI, 2000) == []
+    assert cross_validate(PENTANACCI, 2000) == []
 
 
 def test_cross_validate_rejects_insufficient_cap(tribonacci):
@@ -184,7 +232,8 @@ def test_demo_base_table_and_check():
     assert by_p[7].status == "divides-c0"
     assert by_p[11].base == 2 and by_p[11].status == "ok"
     assert by_p[13].base == 11 and by_p[13].status == "ok"
-    assert base_check(300)
+    checked = [r for r in base_table(limit=300) if r.base is not None]
+    assert checked and all(r.status == "ok" for r in checked)
     for r in rows:
         if r.base is not None:
             assert r.expected == expected_base(r.p)

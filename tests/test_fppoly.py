@@ -231,6 +231,8 @@ def test_pattern_degrees_sum_and_squarefree_flag(args):
     f = reduce_poly(coeffs, p)
     d = _deriv(list(f.coeffs), p)
     assert pat.squarefree == (bool(d) and _gcd_poly(list(f.coeffs), d, p) == [1])
+    full = sorted((g.degree for g, m in factor_mod_p(f) for _ in range(m)), reverse=True)
+    assert pat.degrees == tuple(full)
 
 
 def test_pattern_frequencies_coarse_chebotarev():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from recdiv.recurrence import (
     RecurrenceSpec,
     has_zero_bruteforce,
-    perfect_power_probe,
     period_mod,
     term_int,
     term_iter,
@@ -164,19 +163,3 @@ def test_zero_term_scan_examples(tribonacci):
     assert zero_term_scan(spec, 2) == [0, 1]
     with pytest.raises(ValueError):
         zero_term_scan(tribonacci, 10**5)
-
-
-def test_perfect_power_probe(tribonacci):
-    powers_of_four = RecurrenceSpec.from_char_poly([1, -4], [1])
-    assert perfect_power_probe(powers_of_four, 2, 1, 0, 10).all_powers
-    r = perfect_power_probe(tribonacci, 2, 1, 0, 4)
-    assert not r.all_powers and r.counterexample == 3  # a_3 = 3 is not a square
-    assert perfect_power_probe(tribonacci, 2, 1, 0, 0).all_powers
-
-
-def test_perfect_power_probe_large_terms():
-    # a_n = 9^(n+1): all squares, and 9 itself is the first non-cube
-    spec = RecurrenceSpec.from_char_poly([1, -9], [9])
-    assert perfect_power_probe(spec, 2, 1, 0, 50).all_powers
-    r = perfect_power_probe(spec, 3, 1, 0, 50)
-    assert not r.all_powers and r.counterexample == 0

@@ -10,7 +10,6 @@ from recdiv.sweep import (
     SweepConfig,
     SweepSummary,
     csv_lines,
-    merge_summaries,
     run_sweep,
     summarize_rows,
     write_csv,
@@ -125,23 +124,26 @@ def test_guard_rejects_oversized_limits(tribonacci):
     wide = RecurrenceSpec((1,) * 5, (1,) * 5)
     with pytest.raises(ValueError, match="sweep guard"):
         run_sweep(SweepConfig(spec=wide, limit=100_000))
+    sextic = RecurrenceSpec.from_char_poly([1, 0, 0, 0, 0, 0, -2], [1, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="order 6"):
+        run_sweep(SweepConfig(spec=sextic, limit=50))
 
 
 def test_merge_identity_commutativity_partition(tribonacci, small_sweep):
     rows, summary = small_sweep
     fp = tribonacci.fingerprint()
     empty = SweepSummary.empty(fp)
-    merged = merge_summaries(summary, empty)
+    merged = summary.merged(empty)
     assert merged.to_json_dict()["patterns"] == summary.to_json_dict()["patterns"]
 
     quarters = [rows[0:7], rows[7:14], rows[14:21], rows[21:]]
     parts = [summarize_rows(fp, chunk) for chunk in quarters]
-    ab = merge_summaries(parts[0], parts[1])
-    ba = merge_summaries(parts[1], parts[0])
+    ab = parts[0].merged(parts[1])
+    ba = parts[1].merged(parts[0])
     assert ab == ba
     total = parts[0]
     for s in parts[1:]:
-        total = merge_summaries(total, s)
+        total = total.merged(s)
     assert total.patterns == summary.patterns
     assert total.excluded == summary.excluded
 
@@ -150,9 +152,9 @@ def test_merge_rejects_mismatch_and_overlap(tribonacci, small_sweep):
     rows, summary = small_sweep
     other = summarize_rows("c=9;a=9", rows)
     with pytest.raises(ValueError, match="different sequences"):
-        merge_summaries(summary, other)
+        summary.merged(other)
     with pytest.raises(ValueError, match="overlapping"):
-        merge_summaries(summary, summarize_rows(tribonacci.fingerprint(), rows[:3]))
+        summary.merged(summarize_rows(tribonacci.fingerprint(), rows[:3]))
 
 
 def test_indeterminate_rows_never_count_as_decided(tribonacci):
