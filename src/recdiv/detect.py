@@ -95,10 +95,17 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DetectPolicy:
-    """Scan budgets for detection."""
+    """Scan budgets for detection; each must be at least 1."""
 
     r_cap: int = 2_000_000
     brute_cap: int = 10_000_000
+
+    def __post_init__(self):
+        low = [f"{name} must be at least 1, got {cap}"
+               for name, cap in (("r_cap", self.r_cap), ("brute_cap", self.brute_cap))
+               if cap < 1]
+        if low:
+            raise ValueError("; ".join(low))
 
 
 DEFAULT_POLICY = DetectPolicy()

@@ -335,7 +335,8 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
     """Smallest root of an integer polynomial mod p, or None.
 
     This is the fixed choice of root used everywhere downstream; any other
-    deterministic choice would do equally well.
+    deterministic choice would do equally well. A unique root is read off
+    gcd(x^p - x, f); only several roots need the seeded split.
     """
     coeffs = _trim(list(coeffs))
     if coeffs and coeffs[-1] % p == 0:
@@ -351,6 +352,8 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
     lin = _gcd_poly(_sub(xp, [0, 1], p), f, p)
     if len(lin) <= 1:
         return None
+    if len(lin) == 2:
+        return -lin[0] % p
     rng = random.Random(_mix_seed(0, p, tuple(f)))
     roots = [-g[0] % p for g in _edf(lin, 1, p, rng)]
     return min(roots)

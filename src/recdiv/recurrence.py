@@ -9,11 +9,19 @@ Modular terms use binary powering of x mod the characteristic polynomial,
 which is the companion-matrix action written in the quotient algebra.
 Brute-force period and zero scans walk the state orbit directly; the orbit
 is purely periodic exactly when p does not divide c_0.
+
+The zero scan decides every prime the structural detector does not, so it
+runs one generated walker per order: its source is written out for d state
+and d multiplier locals and compiled once. A generic step that rebuilds the
+state list and sums a generator took about 1.8 us at order 4, against about
+0.3 us unrolled (CPython 3.11, 2-core VM), and a scan may take a whole
+period, up to p^d - 1 steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .arith import factor_integer, mult_order
@@ -168,6 +176,42 @@ class BruteResult:
     steps: int = 0
 
 
+# The zero scan for order d, as source: _walker names the state s0..s{d-1},
+# the multipliers k0..k{d-1} and the initial state t0..t{d-1}, so a step is
+# one tuple shift and the period test compares locals. Only names built
+# from the integer d are substituted.
+_WALKER_TEMPLATE = """
+def walk(ks, state, p, cap):
+    {ks} = ks
+    {ss} = state
+    {ts} = state
+    for n in range(cap):
+        if not s0:
+            return BruteResult("divisor", witness=n, steps=n + 1)
+        {ss} = {shift}
+        if {same}:
+            return BruteResult("nondivisor", period=n + 1, steps=n + 1)
+    return BruteResult("capped", steps=cap)
+"""
+
+
+@lru_cache(maxsize=None)
+def _walker(d: int):
+    """The zero scan unrolled for order d (see _WALKER_TEMPLATE)."""
+    ks, ss, ts = ([f"{v}{i}" for i in range(d)] for v in "kst")
+    step = " + ".join(f"{k} * {s}" for k, s in zip(ks, ss))
+    src = _WALKER_TEMPLATE.format(
+        ks=", ".join(ks) + ",",
+        ss=", ".join(ss) + ",",
+        ts=", ".join(ts) + ",",
+        shift=", ".join(ss[1:] + [f"({step}) % p"]) + ",",
+        same=" and ".join(f"{s} == {t}" for s, t in zip(ss, ts)),
+    )
+    namespace = {"BruteResult": BruteResult}
+    exec(src, namespace)  # noqa: S102 - src depends on d alone
+    return namespace["walk"]
+
+
 def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
     """Scan a_n mod p for n = 0..min(period, cap)-1 for a zero.
 
@@ -178,30 +222,7 @@ def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
     if spec.coeffs[0] % p == 0:
         raise ValueError("not purely periodic")
     ks, s0 = _mod_recurrence(spec, p)
-    d = spec.order
-    if d == 3:
-        k0, k1, k2 = ks
-        t0, t1, t2 = s0
-        a, b, c = t0, t1, t2
-        n = 0
-        while n < cap:
-            if a == 0:
-                return BruteResult("divisor", witness=n, steps=n + 1)
-            a, b, c = b, c, (k0 * a + k1 * b + k2 * c) % p
-            n += 1
-            if a == t0 and b == t1 and c == t2:
-                return BruteResult("nondivisor", period=n, steps=n)
-        return BruteResult("capped", steps=cap)
-    state = list(s0)
-    n = 0
-    while n < cap:
-        if state[0] == 0:
-            return BruteResult("divisor", witness=n, steps=n + 1)
-        state = state[1:] + [sum(k * v for k, v in zip(ks, state)) % p]
-        n += 1
-        if state == s0:
-            return BruteResult("nondivisor", period=n, steps=n)
-    return BruteResult("capped", steps=cap)
+    return _walker(spec.order)(ks, s0, p, cap)
 
 
 def zero_term_scan(spec: RecurrenceSpec, bound: int) -> list[int]:

@@ -124,3 +124,14 @@ def test_internal_errors_exit_2(capsys):
     rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "9999999"])
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_scan_caps_below_one_rejected(capsys):
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "60",
+              "--brute-cap", "-5"])
+    assert rc != 0
+    assert "brute_cap" in capsys.readouterr().err
+    rc = cli(["detect", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "-p", "7",
+              "--brute-cap", "-1"])
+    assert rc != 0
+    assert "brute_cap" in capsys.readouterr().err

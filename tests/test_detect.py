@@ -147,6 +147,25 @@ def test_build_context_gamma1_matches_vandermonde(name):
     assert checked >= 20
 
 
+def test_build_context_draws_no_random_numbers(tribonacci, monkeypatch):
+    # at a (2, 1) prime the root is unique, so fp_root must not seed a split
+    roots = {}
+    for p in sieve_primes(2000):
+        res = build_context(tribonacci, p)
+        if isinstance(res, StructuralContext):
+            roots[p] = res.root_base
+
+    def no_rng(*args):
+        raise AssertionError("random.Random built on the structural path")
+
+    monkeypatch.setattr("recdiv.fppoly.random.Random", no_rng)
+    for p, root in roots.items():
+        ctx = build_context(tribonacci, p)
+        assert ctx.root_base == root, p
+        assert sum(c * root**i for i, c in enumerate(tribonacci.char_poly())) % p == 0
+    assert len(roots) > 100
+
+
 def test_structural_nondivisor_full_scan():
     # a_n = 9^(n+1) style shifted sequence on x^3-2: only p = 3 ever divides,
     # so every structural prime must come back nondivisor after a full scan

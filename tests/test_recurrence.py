@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recdiv.arith import sieve_primes
 from recdiv.recurrence import (
+    BruteResult,
     RecurrenceSpec,
     has_zero_bruteforce,
     period_mod,
@@ -110,6 +114,8 @@ def test_period_rejects_non_periodic():
     spec = RecurrenceSpec.from_char_poly([1, 0, 0, -35], [1, 2, 3])
     with pytest.raises(ValueError, match="not purely periodic"):
         period_mod(spec, 5)
+    with pytest.raises(ValueError, match="not purely periodic"):
+        has_zero_bruteforce(spec, 5, 10)
 
 
 def test_period_root_orders_rejects_ramified(tribonacci):
@@ -163,3 +169,46 @@ def test_zero_term_scan_examples(tribonacci):
     assert zero_term_scan(spec, 2) == [0, 1]
     with pytest.raises(ValueError):
         zero_term_scan(tribonacci, 10**5)
+
+
+def _reference_zero_scan(spec, p, cap):
+    """The zero scan written as a plain list walk: the oracle for the walker."""
+    ks = [(-c) % p for c in spec.coeffs]
+    start = [v % p for v in spec.init]
+    state = list(start)
+    n = 0
+    while n < cap:
+        if state[0] == 0:
+            return BruteResult("divisor", witness=n, steps=n + 1)
+        state = state[1:] + [sum(k * v for k, v in zip(ks, state)) % p]
+        n += 1
+        if state == start:
+            return BruteResult("nondivisor", period=n, steps=n)
+    return BruteResult("capped", steps=cap)
+
+
+def _oracle_specs(d):
+    """8 fixed order-d specs with coefficients and initial terms in [-5, 5]."""
+    rng = random.Random(d)
+    specs = []
+    while len(specs) < 8:
+        coeffs = tuple(rng.randint(-5, 5) for _ in range(d))
+        if coeffs[0]:
+            specs.append(RecurrenceSpec(coeffs, tuple(rng.randint(-5, 5) for _ in range(d))))
+    return specs
+
+
+def test_bruteforce_walker_matches_reference_scan():
+    cases = 0
+    for d in range(1, 7):
+        primes = sieve_primes(300 if d <= 3 else 60)
+        for spec in _oracle_specs(d):
+            for p in primes:
+                if spec.coeffs[0] % p == 0:
+                    continue
+                for cap in (0, 1, 5, 10**6):
+                    got = has_zero_bruteforce(spec, p, cap)
+                    want = _reference_zero_scan(spec, p, cap)
+                    assert got == want, (spec.fingerprint(), p, cap)
+                    cases += 1
+    assert cases > 5000

@@ -127,6 +127,10 @@ def test_guard_rejects_oversized_limits(tribonacci):
     sextic = RecurrenceSpec.from_char_poly([1, 0, 0, 0, 0, 0, -2], [1, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="order 6"):
         run_sweep(SweepConfig(spec=sextic, limit=50))
+    with pytest.raises(ValueError, match="brute_cap must be at least 1"):
+        run_sweep(SweepConfig(spec=tribonacci, limit=60, brute_cap=0))
+    with pytest.raises(ValueError, match="r_cap must be at least 1"):
+        run_sweep(SweepConfig(spec=tribonacci, limit=60, r_cap=-3))
 
 
 def test_merge_identity_commutativity_partition(tribonacci, small_sweep):
@@ -159,7 +163,7 @@ def test_merge_rejects_mismatch_and_overlap(tribonacci, small_sweep):
 
 def test_indeterminate_rows_never_count_as_decided(tribonacci):
     rows, summary = run_sweep(
-        SweepConfig(spec=tribonacci, limit=100, brute_cap=1, r_cap=0)
+        SweepConfig(spec=tribonacci, limit=100, brute_cap=1, r_cap=1)
     )
     d = summary.to_json_dict()
     for key, cell in d["patterns"].items():
