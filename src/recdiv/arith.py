@@ -104,12 +104,6 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(sieve_primes(_TRIAL_BOUND))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of odd composite n, found with a fixed c schedule."""
     c = 1
@@ -126,7 +120,7 @@ def _pollard_brent(n: int) -> int:
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                g = _gcd(q, n)
+                g = math.gcd(q, n)
                 k += 128
             r *= 2
         if g == n:
@@ -134,7 +128,7 @@ def _pollard_brent(n: int) -> int:
             y = ys
             while g == 1:
                 y = (y * y + c) % n
-                g = _gcd(abs(x - y), n)
+                g = math.gcd(abs(x - y), n)
         if g != n:
             return g
         c += 1

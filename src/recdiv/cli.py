@@ -78,18 +78,29 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _make_policy(args) -> DetectPolicy:
+    try:
+        return DetectPolicy(r_cap=args.r_cap, brute_cap=args.brute_cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_sweep(args) -> int:
     spec = _make_spec(args.poly, args.init)
-    config = SweepConfig(
-        spec=spec,
-        limit=args.limit,
-        r_cap=args.r_cap,
-        brute_cap=args.brute_cap,
-        workers=args.workers,
-        seed=_seed_from_env(),
-        csv_path=args.csv,
-        json_path=args.json,
-    )
+    policy = _make_policy(args)
+    seed = _seed_from_env()
+    try:
+        config = SweepConfig(
+            spec=spec,
+            limit=args.limit,
+            policy=policy,
+            workers=args.workers,
+            seed=seed,
+            csv_path=args.csv,
+            json_path=args.json,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows, summary = run_sweep(config)
     meta = summary.meta or {}
     if meta.get("degenerate_zero_term"):
@@ -123,8 +134,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_detect(args) -> int:
     spec = _make_spec(args.poly, args.init)
-    policy = DetectPolicy(r_cap=args.r_cap, brute_cap=args.brute_cap)
-    pat, ctx, verdict = detect_full(spec, args.prime, policy)
+    pat, ctx, verdict = detect_full(spec, args.prime, _make_policy(args))
     p = args.prime
     print(f"p = {p}: pattern {pat.key}, squarefree {'yes' if pat.squarefree else 'no'}")
     if ctx is not None:

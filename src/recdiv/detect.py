@@ -10,15 +10,14 @@ pure base-field statement: for some r < Q, the ratio
     RHS_r = -(a_r - gamma1 * a1^r) / (gamma1 * a1^r)
 
 lies in the cyclic subgroup generated by the base G = a1^d / ((-1)^d c_0).
-Membership is decided by the power test RHS^ord(G) = 1; the scan over
-r < Q is therefore a complete decision procedure, cross-validated against
-the brute-force period scan. Only base-field numbers enter: gamma1, the
-coefficient of a1^n in a_n, has the closed form sum_k g_k a_k / g(a1),
-because g annihilates every root but a1.
+The scan over r < Q is therefore a complete decision procedure,
+cross-validated against the brute-force period scan. Only base-field numbers
+enter: gamma1, the coefficient of a1^n in a_n, has the closed form
+sum_k g_k a_k / g(a1), because g annihilates every root but a1.
 
-Scans start with the direct power test and switch to a precomputed discrete
-log table when a scan runs long, which keeps full nondivisor scans linear
-in p.
+Membership is the power test RHS^ord(G) = 1, one modular power per residue.
+On a hit the exponent k of the witness n = k*Q + r is the discrete log of
+RHS_r within <G>, found by baby-step giant-step in O(sqrt(ord G)) steps.
 """
 
 from __future__ import annotations
@@ -37,19 +36,8 @@ from .recurrence import (
     zero_term_scan,
 )
 
-# Scan steps taken with the direct power test before building a dlog table.
-_TABLE_THRESHOLD = 256
-
 # Exact terms a_0..a_ZERO_SCAN_BOUND are searched for a zero (degenerate runs).
 ZERO_SCAN_BOUND = 200
-
-EXCLUSION_REASONS = (
-    "ramified",
-    "divides-c0",
-    "gamma1-vanishes",
-    "pattern-mismatch",
-    "zero-term-degenerate",
-)
 
 
 @dataclass(frozen=True)
@@ -166,26 +154,8 @@ def build_context(
     )
 
 
-def _dlog_table(p: int) -> tuple[list[int], int]:
-    """Discrete log table for F_p^* w.r.t. the least primitive root."""
-    tot = factor_integer(p - 1)
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in tot.prime_divisors()):
-        g += 1
-    table = [0] * p
-    v = 1
-    for j in range(p - 1):
-        table[v] = j
-        v = v * g % p
-    return table, g
-
-
 def _bsgs(base: int, target: int, order: int, p: int) -> int:
     """Least k in [0, order) with base^k = target; target must lie in <base>."""
-    if order == 1:
-        if target != 1:
-            raise RuntimeError("target outside the subgroup")
-        return 0
     m = math.isqrt(order - 1) + 1
     baby: dict[int, int] = {}
     v = 1
@@ -222,46 +192,21 @@ def structural_detect(
     pw = g1  # gamma1 * a1^r
     pwo = pow(g1, ordg, p)  # pw^ordg, maintained multiplicatively
     stream = term_stream(spec, p)
-    table = None
-    m_index = 0
-    hit = None  # (r, T, pw)
     for r in range(limit):
-        ar = next(stream)
-        t = (ar - pw) % p
-        if t:
-            if table is None and r >= _TABLE_THRESHOLD:
-                table, _ = _dlog_table(p)
-                m_index = (p - 1) // ordg
-            if table is None:
-                if pow(p - t, ordg, p) == pwo:
-                    hit = (r, t, pw)
-                    break
-            else:
-                if (table[p - t] - table[pw]) % m_index == 0:
-                    hit = (r, t, pw)
-                    break
+        t = (next(stream) - pw) % p
+        if t and pow(p - t, ordg, p) == pwo:
+            rhs = (p - t) * pow(pw, -1, p) % p
+            n = _bsgs(ctx.base, rhs, ordg, p) * full + r
+            return _verified_divisor(spec, p, n, "structural")
         pw = pw * a1 % p
         pwo = pwo * a1o % p
-    if hit is None:
-        if limit == full:
-            return Verdict("nondivisor", method="structural")
-        return Verdict(
-            "indeterminate",
-            method="structural",
-            detail=f"scanned {limit} of {full} residues",
-        )
-    r, t, pw = hit
-    rhs = (p - t) * pow(pw, -1, p) % p
-    if ordg == 1:
-        k = 0
-    elif table is not None:
-        ind_rhs = (table[rhs]) % (p - 1)
-        ind_base = table[ctx.base]
-        k = (ind_rhs // m_index) * pow(ind_base // m_index, -1, ordg) % ordg
-    else:
-        k = _bsgs(ctx.base, rhs, ordg, p)
-    n = k * full + r
-    return _verified_divisor(spec, p, n, "structural")
+    if limit == full:
+        return Verdict("nondivisor", method="structural")
+    return Verdict(
+        "indeterminate",
+        method="structural",
+        detail=f"scanned {limit} of {full} residues",
+    )
 
 
 @lru_cache(maxsize=64)

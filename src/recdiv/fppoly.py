@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arith import FactoredInteger
+from .arith import FactoredInteger, factor_integer
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +363,6 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
 # extension fields
 
 
-def _prime_divisors_small(k: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= k:
-        if k % q == 0:
-            out.append(q)
-            while k % q == 0:
-                k //= q
-        q += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
 def _is_irreducible(g: list[int], p: int) -> bool:
     k = len(g) - 1
     if k < 1:
@@ -386,7 +372,7 @@ def _is_irreducible(g: list[int], p: int) -> bool:
     xp = _pow_mod([0, 1], p ** k, g, p)
     if xp != _rem([0, 1], g, p):
         return False
-    for q in _prime_divisors_small(k):
+    for q in factor_integer(k).prime_divisors():
         w = _pow_mod([0, 1], p ** (k // q), g, p)
         if len(_gcd_poly(_sub(w, [0, 1], p), g, p)) > 1:
             return False

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 from .arith import sieve_primes
 from .charpoly import analyze_poly
-from .detect import ZERO_SCAN_BOUND, DetectPolicy, detect_full
+from .detect import DEFAULT_POLICY, ZERO_SCAN_BOUND, DetectPolicy, detect_full
 from .recurrence import RecurrenceSpec, zero_term_scan
 
-# A sweep factors only p - 1, so its caps bound cost and column width: a
-# long structural scan builds an O(p) discrete-log table, and
+# A sweep factors only p - 1, so its caps bound run time and column width:
 # limit^(d-1) < 2^63 keeps the Q column, (p^(d-1)-1)/(p-1), within 63 bits.
 MAX_LIMIT = 3_000_000
 MAX_ORDER = 5
@@ -30,16 +29,28 @@ CSV_HEADER = "p,pattern,squarefree,excluded_reason,verdict,method,witness_n,ord_
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: the sequence, the prime bound, budgets, and output paths."""
+    """One sweep: the sequence, the prime bound, scan budgets, and output paths.
+
+    Rejects, with a ValueError, an order or limit beyond the sweep guards
+    and a worker count below 1.
+    """
 
     spec: RecurrenceSpec
     limit: int
-    r_cap: int = 2_000_000
-    brute_cap: int = 10_000_000
+    policy: DetectPolicy = DEFAULT_POLICY
     workers: int = 1
     seed: int = 0
     csv_path: str | None = None
     json_path: str | None = None
+
+    def __post_init__(self):
+        d = self.spec.order
+        if d > MAX_ORDER:
+            raise ValueError(f"order {d} exceeds the sweep cap of {MAX_ORDER}")
+        if self.limit > MAX_LIMIT or self.limit ** max(1, d - 1) >= _WORD_GUARD:
+            raise ValueError(f"limit {self.limit} violates the sweep guard for order {d}")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,18 +67,6 @@ class PrimeRow:
     ord_g: int | None
     index_g: int | None
     q: int | None
-
-
-def _validate_config(config: SweepConfig) -> None:
-    d = config.spec.order
-    if d > MAX_ORDER:
-        raise ValueError(f"order {d} exceeds the sweep cap of {MAX_ORDER}")
-    if config.limit > MAX_LIMIT or config.limit ** max(1, d - 1) >= _WORD_GUARD:
-        raise ValueError(
-            f"limit {config.limit} violates the sweep guard for order {d}"
-        )
-    if config.workers < 1:
-        raise ValueError("workers must be positive")
 
 
 def _row_for_prime(spec: RecurrenceSpec, p: int, policy: DetectPolicy) -> PrimeRow:
@@ -221,10 +220,9 @@ def summarize_rows(fingerprint: str, rows: list[PrimeRow]) -> SweepSummary:
 
 def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
     """All rows for primes <= limit, in prime order, plus the summary fold."""
-    _validate_config(config)
     spec = config.spec
+    policy = config.policy
     profile = analyze_poly(list(spec.char_poly()))
-    policy = DetectPolicy(r_cap=config.r_cap, brute_cap=config.brute_cap)
     primes = sieve_primes(config.limit)
     if config.workers > 1 and len(primes) >= 4 * config.workers:
         size = max(32, -(-len(primes) // (config.workers * 8)))
@@ -242,8 +240,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
         "init": list(spec.init),
         "limit": config.limit,
         "seed": config.seed,
-        "r_cap": config.r_cap,
-        "brute_cap": config.brute_cap,
+        "r_cap": policy.r_cap,
+        "brute_cap": policy.brute_cap,
         "degenerate_zero_term": bool(zeros),
         "zero_term_indices": zeros[:10],
         "hypotheses": {

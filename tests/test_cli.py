@@ -119,19 +119,20 @@ def test_failed_prime_names_prime_and_sequence(capsys, monkeypatch):
     assert "p=7" in err and "c=-1,-1,-1;a=1,1,1" in err and "injected fault" in err
 
 
-def test_internal_errors_exit_2(capsys):
-    # limit beyond the sweep guard is caught inside run_sweep, not argparse
+def test_limit_beyond_guard_is_usage_error(capsys):
+    # the sweep guard rejects the limit when the config is built, before any scan
     rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "9999999"])
-    assert rc == 2
-    assert "internal error" in capsys.readouterr().err
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sweep guard" in err
 
 
 def test_scan_caps_below_one_rejected(capsys):
     rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "60",
               "--brute-cap", "-5"])
-    assert rc != 0
+    assert rc == 1
     assert "brute_cap" in capsys.readouterr().err
     rc = cli(["detect", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "-p", "7",
               "--brute-cap", "-1"])
-    assert rc != 0
+    assert rc == 1
     assert "brute_cap" in capsys.readouterr().err

@@ -126,6 +126,27 @@ def test_structural_detect_empty_scan(tribonacci):
     assert v.kind == "indeterminate"
 
 
+@pytest.mark.parametrize(
+    "p, witness, r", [(4201, 25698, 486), (5167, 10620, 284), (12421, 758892, 1150)]
+)
+def test_structural_detect_long_scan_witnesses(tribonacci, p, witness, r):
+    # hits hundreds of residues into the scan, recovered by BSGS within <G>
+    ctx = build_context(tribonacci, p)
+    v = structural_detect(ctx, tribonacci, r_cap=ctx.q)
+    assert v.kind == "divisor" and v.witness == witness
+    assert v.witness % ctx.q == r
+    assert has_zero_bruteforce(tribonacci, p, 10**7).kind == "divisor"
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_structural_detect_base_of_order_one(p):
+    spec = RecurrenceSpec.from_char_poly([1, 0, 0, -2], [3, 0, 0])  # power sums
+    ctx = build_context(spec, p)
+    assert ctx.ord_base == 1
+    v = structural_detect(ctx, spec, r_cap=ctx.q)
+    assert v.kind == "divisor" and v.witness == 1
+
+
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_SPECS))
 def test_build_context_gamma1_matches_vandermonde(name):
     # the closed form sum_k g_k a_k / g(a1) against the extension-field solve

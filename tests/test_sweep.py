@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from recdiv.detect import detect
+from recdiv.detect import DetectPolicy, detect
 from recdiv.recurrence import RecurrenceSpec
 from recdiv.sweep import (
     CSV_HEADER,
@@ -128,9 +128,9 @@ def test_guard_rejects_oversized_limits(tribonacci):
     with pytest.raises(ValueError, match="order 6"):
         run_sweep(SweepConfig(spec=sextic, limit=50))
     with pytest.raises(ValueError, match="brute_cap must be at least 1"):
-        run_sweep(SweepConfig(spec=tribonacci, limit=60, brute_cap=0))
+        run_sweep(SweepConfig(spec=tribonacci, limit=60, policy=DetectPolicy(brute_cap=0)))
     with pytest.raises(ValueError, match="r_cap must be at least 1"):
-        run_sweep(SweepConfig(spec=tribonacci, limit=60, r_cap=-3))
+        run_sweep(SweepConfig(spec=tribonacci, limit=60, policy=DetectPolicy(r_cap=-3)))
 
 
 def test_merge_identity_commutativity_partition(tribonacci, small_sweep):
@@ -163,7 +163,7 @@ def test_merge_rejects_mismatch_and_overlap(tribonacci, small_sweep):
 
 def test_indeterminate_rows_never_count_as_decided(tribonacci):
     rows, summary = run_sweep(
-        SweepConfig(spec=tribonacci, limit=100, brute_cap=1, r_cap=1)
+        SweepConfig(spec=tribonacci, limit=100, policy=DetectPolicy(brute_cap=1, r_cap=1))
     )
     d = summary.to_json_dict()
     for key, cell in d["patterns"].items():
