@@ -11,10 +11,11 @@ import argparse
 import os
 import sys
 
+from .arith import is_prime
 from .charpoly import analyze_poly
 from .demo import DEMO_SPEC, base_table
 from .detect import DEFAULT_POLICY, DetectPolicy, detect_full
-from .orderstats import artin_fraction, index_histogram
+from .orderstats import MIN_LIMIT, index_histogram
 from .recurrence import RecurrenceSpec
 from .sweep import SweepConfig, run_sweep
 
@@ -134,8 +135,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_detect(args) -> int:
     spec = _make_spec(args.poly, args.init)
-    pat, ctx, verdict = detect_full(spec, args.prime, _make_policy(args))
     p = args.prime
+    if not is_prime(p):
+        raise UsageError(f"-p must be a prime, got {p}")
+    pat, ctx, verdict = detect_full(spec, p, _make_policy(args))
     print(f"p = {p}: pattern {pat.key}, squarefree {'yes' if pat.squarefree else 'no'}")
     if ctx is not None:
         print(
@@ -154,17 +157,19 @@ def _cmd_detect(args) -> int:
 
 def _cmd_order_stats(args) -> int:
     grid = _parse_ints(args.c_grid, "C grid")
+    if args.limit < MIN_LIMIT:
+        raise UsageError(f"--limit must be at least {MIN_LIMIT}, got {args.limit}")
     if args.poly is not None:
         poly = list(reversed(_parse_poly(args.poly)))
     else:
         poly = [-args.base, 1]
-    table = index_histogram(poly, args.limit, grid)
+    # the extra C = 1 entry is the primitive-root fraction for --base
+    *table, (_, artin) = index_histogram(poly, args.limit, [*grid, 1])
     print("C    fraction with index <= C")
     for c, frac in table:
         print(f"{c:<4} {float(frac):.4f}  ({frac.numerator}/{frac.denominator})")
     if args.base is not None:
-        frac = artin_fraction(args.base, args.limit)
-        print(f"primitive-root fraction for {args.base}: {float(frac):.4f}")
+        print(f"primitive-root fraction for {args.base}: {float(artin):.4f}")
     return 0
 
 

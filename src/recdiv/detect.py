@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factor_integer, mult_order, sieve_primes
-from .fppoly import FactorPattern, _eval, fp_root, pattern
+from .fppoly import FactorPattern, _eval, pattern
 from .recurrence import (
     RecurrenceSpec,
     has_zero_bruteforce,
@@ -45,7 +45,7 @@ class Excluded:
     """A prime the structural machinery refuses, with the reason."""
 
     reason: str
-    detail: str = ""
+    detail: str | None = None
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,11 @@ def build_context(
 ) -> StructuralContext | Excluded:
     """Structural context at p, or the exclusion that prevents it.
 
-    pat, when given, must be the pattern of the characteristic polynomial
-    at p; it saves computing it again.
+    The one place a prime is excluded, checked in order: p | c0, ramified,
+    order < 3 or a pattern other than (d-1, 1), vanishing gamma1. pat, when
+    given, must be the pattern of the characteristic polynomial at p.
     """
     d = spec.order
-    if d < 3:
-        return Excluded("pattern-mismatch", "structural path needs order >= 3")
     if spec.coeffs[0] % p == 0:
         return Excluded("divides-c0")
     cp = spec.char_poly()
@@ -125,9 +124,9 @@ def build_context(
         pat = pattern(cp, p)
     if not pat.squarefree:
         return Excluded("ramified")
-    if pat.degrees != (d - 1, 1):
+    if d < 3 or pat.degrees != (d - 1, 1):
         return Excluded("pattern-mismatch", f"pattern {pat.key}")
-    a1 = fp_root(cp, p)
+    a1 = pat.root
     # g = char poly / (x - a1) by synthetic division, lowest degree first
     g = [1] * d
     for k in range(d - 1, 0, -1):
@@ -218,24 +217,18 @@ def _first_exact_zero(spec: RecurrenceSpec, bound: int) -> int | None:
 def detect_full(
     spec: RecurrenceSpec, p: int, policy: DetectPolicy = DEFAULT_POLICY
 ):
-    """(pattern, context or None, verdict) for one prime."""
+    """(pattern, context or None, verdict); a pattern mismatch is brute-forced."""
     pat = pattern(spec.char_poly(), p)
     zero_index = _first_exact_zero(spec, ZERO_SCAN_BOUND)
     if zero_index is not None:
         return pat, None, _verified_divisor(
             spec, p, zero_index, "none", detail="degenerate: zero term"
         )
-    if spec.coeffs[0] % p == 0:
-        return pat, None, Verdict("excluded", reason="divides-c0")
-    if not pat.squarefree:
-        return pat, None, Verdict("excluded", reason="ramified")
-    d = spec.order
-    if d >= 3 and pat.degrees == (d - 1, 1):
-        res = build_context(spec, p, pat)
-        if isinstance(res, Excluded):
-            return pat, None, Verdict("excluded", reason=res.reason, detail=res.detail)
-        verdict = structural_detect(res, spec, policy.r_cap)
-        return pat, res, verdict
+    res = build_context(spec, p, pat)
+    if isinstance(res, StructuralContext):
+        return pat, res, structural_detect(res, spec, policy.r_cap)
+    if res.reason != "pattern-mismatch":
+        return pat, None, Verdict("excluded", reason=res.reason, detail=res.detail)
     scan = has_zero_bruteforce(spec, p, policy.brute_cap)
     if scan.kind == "divisor":
         return pat, None, _verified_divisor(spec, p, scan.witness, "brute")

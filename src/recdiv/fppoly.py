@@ -190,6 +190,7 @@ class FactorPattern:
     p: int
     degrees: tuple[int, ...]  # sorted descending, counted with multiplicity
     squarefree: bool
+    root: int | None = None  # a if x - a is the only linear factor (with multiplicity)
 
     @property
     def key(self) -> str:
@@ -313,7 +314,7 @@ def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
 
     Degrees come from squarefree decomposition and distinct-degree splitting
     alone: a distinct-degree product of degree k*e at degree e holds k
-    irreducible factors of degree e.
+    irreducible factors of degree e, and a lone linear one gives the root.
     """
     coeffs = _trim(list(coeffs))
     if coeffs and coeffs[-1] % p == 0:
@@ -321,22 +322,27 @@ def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
     f = _trim([c % p for c in coeffs])
     if not f:
         raise ValueError("zero polynomial")
+    parts = _sqf_list(_monic(f, p), p)
     degrees = []
-    for part, mult in _sqf_list(_monic(f, p), p):
+    root = None
+    for part, mult in parts:
         for prod, e in _ddf(part, p):
             degrees += [e] * ((len(prod) - 1) // e * mult)
+            if e == 1:
+                root = -prod[0] % p  # prod is monic
     degrees.sort(reverse=True)
-    d = _deriv(f, p)
-    squarefree = bool(d) and _gcd_poly(f, d, p) == [1]
-    return FactorPattern(p, tuple(degrees), squarefree)
+    if degrees.count(1) != 1:
+        root = None
+    squarefree = all(mult == 1 for _, mult in parts)
+    return FactorPattern(p, tuple(degrees), squarefree, root)
 
 
 def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
     """Smallest root of an integer polynomial mod p, or None.
 
-    This is the fixed choice of root used everywhere downstream; any other
-    deterministic choice would do equally well. A unique root is read off
-    gcd(x^p - x, f); only several roots need the seeded split.
+    The fixed choice of root for order statistics; any other deterministic
+    choice would do. A unique root is read off gcd(x^p - x, f), as in
+    FactorPattern.root; only several roots need the seeded split.
     """
     coeffs = _trim(list(coeffs))
     if coeffs and coeffs[-1] % p == 0:
@@ -555,8 +561,3 @@ def solve_gamma(roots: list[ExtElem], init: list[int]) -> list[ExtElem]:
             assert acc == field.embed(init[n]), "gamma reconstruction failed"
     assert gammas[0].is_base(), "leading coefficient must be in the base field"
     return gammas
-
-
-def powmod_x(e: int, modulus: list[int] | tuple[int, ...], p: int) -> list[int]:
-    """x**e reduced mod the given monic polynomial over F_p."""
-    return _pow_mod([0, 1], e, list(modulus), p)

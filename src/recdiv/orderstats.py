@@ -3,8 +3,9 @@
 For each prime where the polynomial has a root mod p, record the order of
 the smallest root and its index (p-1)/order. The histogram of indices is
 the empirical counterpart of the almost-maximal-order phenomenon; the
-primitive-root fraction for a fixed integer base is the classical
-calibration target (roughly 0.374 for base 2).
+primitive-root fraction for a fixed integer base a is the classical
+calibration target (roughly 0.374 for base 2). It is read from the order
+rows of x - a: the share of rows with index 1.
 
 p = 2 is skipped everywhere here: its unit group is trivial, so a row at 2
 carries no order information, and skipping it keeps the base-a fraction and
@@ -21,6 +22,8 @@ from .charpoly import _ipoly, discriminant
 from .detect import Excluded, build_context
 from .fppoly import fp_root
 from .recurrence import RecurrenceSpec
+
+MIN_LIMIT = 100  # the smallest prime bound index_histogram accepts
 
 
 @dataclass(frozen=True)
@@ -88,22 +91,19 @@ def index_histogram(coeffs, limit: int, c_grid) -> list[tuple[int, Fraction]]:
     Fractions are exact and nondecreasing in C, reaching 1 once C passes
     the largest observed index.
     """
-    if limit < 100:
-        raise ValueError("limit must be at least 100")
+    if limit < MIN_LIMIT:
+        raise ValueError(f"limit must be at least {MIN_LIMIT}")
     return _histogram(collect_order_rows(coeffs, limit), c_grid)
 
 
 def artin_fraction(a: int, limit: int) -> Fraction:
-    """Fraction of odd primes p <= limit, p not dividing a, where a generates F_p^*."""
-    total = 0
-    hits = 0
-    for p in sieve_primes(limit):
-        if p == 2 or a % p == 0:
-            continue
-        total += 1
-        if mult_order(a % p, p, factor_integer(p - 1)) == p - 1:
-            hits += 1
-    return Fraction(hits, total) if total else Fraction(0, 1)
+    """Fraction of odd primes p <= limit, p not dividing a, where a generates F_p^*.
+
+    These are the order rows of x - a with index 1.
+    """
+    rows = collect_order_rows([-a, 1], limit)
+    hits = sum(1 for r in rows if r.index == 1)
+    return Fraction(hits, len(rows)) if rows else Fraction(0, 1)
 
 
 def base_order_rows(spec: RecurrenceSpec, limit: int) -> list[OrderRow]:

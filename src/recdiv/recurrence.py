@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 
 from .arith import factor_integer, mult_order
-from .fppoly import ExtField, ext_elem_order, factor_mod_p, powmod_x, reduce_poly
+from .fppoly import ExtField, _pow_mod, ext_elem_order, factor_mod_p, reduce_poly
 
 # Exact integer terms are only computed below this index; entries grow
 # exponentially in bit size, so large n must go through term_mod.
@@ -98,8 +98,8 @@ def term_mod(spec: RecurrenceSpec, n: int, p: int) -> int:
     d = spec.order
     if n < d:
         return spec.init[n] % p
-    cp = reduce_poly(spec.char_poly(), p)
-    xn = powmod_x(n, cp.coeffs, p)
+    cp = [c % p for c in spec.char_poly()]  # monic, so no trailing zero
+    xn = _pow_mod([0, 1], n, cp, p)
     return sum(c * (spec.init[i] % p) for i, c in enumerate(xn)) % p
 
 

@@ -86,6 +86,34 @@ def test_order_stats_base(capsys):
     assert out.count("\n") >= 4
 
 
+def test_order_stats_base_fraction_is_artin_fraction(capsys):
+    from recdiv.orderstats import artin_fraction
+
+    want = f"primitive-root fraction for 2: {float(artin_fraction(2, 2000)):.4f}"
+    assert cli(["order-stats", "--base", "2", "--limit", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == want
+    assert [l.split()[0] for l in lines[1:-1]] == ["1", "2", "4", "8", "16"]
+    # the fraction is not read off the user's grid, which may lack C = 1
+    assert cli(["order-stats", "--base", "2", "--limit", "2000", "--c-grid", "2,4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == want
+    assert [l.split()[0] for l in lines[1:-1]] == ["2", "4"]
+
+
+def test_order_stats_limit_below_minimum_is_usage_error(capsys, monkeypatch):
+    import recdiv.cli
+
+    def no_scan(*args):
+        raise AssertionError("scanned before rejecting the limit")
+
+    monkeypatch.setattr(recdiv.cli, "index_histogram", no_scan)
+    for args in (["--base", "2"], ["--poly", "1,-1,-1,-1"]):
+        assert cli(["order-stats", *args, "--limit", "99"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--limit must be at least 100" in err
+
+
 def test_order_stats_poly(capsys):
     rc = cli(["order-stats", "--poly", "1,-1,-1,-1", "--limit", "2000", "--c-grid", "1,8"])
     assert rc == 0
@@ -136,3 +164,17 @@ def test_scan_caps_below_one_rejected(capsys):
               "--brute-cap", "-1"])
     assert rc == 1
     assert "brute_cap" in capsys.readouterr().err
+
+
+def test_detect_rejects_non_prime(capsys, monkeypatch):
+    import recdiv.cli
+
+    def no_detect(*args):
+        raise AssertionError("detect_full ran on a non-prime")
+
+    monkeypatch.setattr(recdiv.cli, "detect_full", no_detect)
+    for n in ("9", "1", "0", "-7"):
+        rc = cli(["detect", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "-p", n])
+        assert rc == 1, n
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"got {n}" in err, n

@@ -169,7 +169,7 @@ def test_build_context_gamma1_matches_vandermonde(name):
 
 
 def test_build_context_draws_no_random_numbers(tribonacci, monkeypatch):
-    # at a (2, 1) prime the root is unique, so fp_root must not seed a split
+    # at a (2, 1) prime the root is unique, so no seeded split is drawn
     roots = {}
     for p in sieve_primes(2000):
         res = build_context(tribonacci, p)
@@ -213,6 +213,19 @@ def test_detect_dispatch(tribonacci):
     assert v.method == "brute"
     v = detect(tribonacci, 2)
     assert v.kind == "excluded" and v.reason == "ramified"
+
+
+def test_detect_order_two_exclusions_and_brute_path():
+    # x^2 - x - 3: c0 = -3, discriminant 13; 5 leaves it irreducible, 17 splits it
+    spec = RecurrenceSpec((-3, -1), (1, 1))
+    for p, reason in ((3, "divides-c0"), (13, "ramified")):
+        v = detect(spec, p)
+        assert (v.kind, v.reason, v.detail) == ("excluded", reason, None), p
+    for p in (5, 17):
+        pat, ctx, v = detect_full(spec, p)
+        assert ctx is None and v.method == "brute", p
+        assert v.kind == has_zero_bruteforce(spec, p, 10**7).kind, p
+    assert detect_full(spec, 17)[0].key == "1-1"
 
 
 def test_detect_degenerate_zero_short_circuit():

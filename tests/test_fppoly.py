@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from recdiv.arith import factor_integer, sieve_primes
 from recdiv.charpoly import expected_pattern_density
+from recdiv.demo import DEMO_SPEC
 from recdiv.fppoly import (
     ExtField,
     FpPoly,
@@ -86,6 +87,31 @@ def test_fp_root_smallest():
     assert fp_root([-1, 0, 1], 13) == 1
     # (x-2)(x-5) mod 11
     assert fp_root([10, -7, 1], 11) == 2
+
+
+# lowest degree first: Tribonacci, x^3-2, the demo, Tetranacci, Pentanacci, x^5-x-1
+_ROOT_POLYS = [
+    TRIB_POLY,
+    (-2, 0, 0, 1),
+    DEMO_SPEC.char_poly(),
+    (-1, -1, -1, -1, 1),
+    (-1, -1, -1, -1, -1, 1),
+    (-1, -1, 0, 0, 0, 1),
+]
+
+
+@pytest.mark.parametrize("coeffs", _ROOT_POLYS)
+def test_pattern_root_is_the_lone_root(coeffs):
+    # oracle: fp_root splits gcd(x^p - x, f) on its own
+    lone = 0
+    for p in sieve_primes(2000):
+        pat = pattern(coeffs, p)
+        if pat.degrees.count(1) == 1:
+            assert pat.root == fp_root(coeffs, p), p
+            lone += 1
+        else:
+            assert pat.root is None, p
+    assert lone > 50
 
 
 _F49 = ExtField(7, FpPoly.from_list([5, 2, 1], 7))
@@ -233,6 +259,7 @@ def test_pattern_degrees_sum_and_squarefree_flag(args):
     assert pat.squarefree == (bool(d) and _gcd_poly(list(f.coeffs), d, p) == [1])
     full = sorted((g.degree for g, m in factor_mod_p(f) for _ in range(m)), reverse=True)
     assert pat.degrees == tuple(full)
+    assert pat.root == (fp_root(coeffs, p) if full.count(1) == 1 else None)
 
 
 def test_pattern_frequencies_coarse_chebotarev():

@@ -67,18 +67,19 @@ def test_artin_minus_one():
 
 def test_artin_small_value_against_direct_orders():
     # independent oracle: repeated multiplication instead of factored orders
-    hits = total = 0
-    for p in sieve_primes(200):
-        if p == 2 or 2 % p == 0:
-            continue
-        total += 1
-        v, e = 2 % p, 1
-        while v != 1:
-            v = v * 2 % p
-            e += 1
-        if e == p - 1:
-            hits += 1
-    assert artin_fraction(2, 200) == Fraction(hits, total)
+    for a in (2, 3, -3, 10):
+        hits = total = 0
+        for p in sieve_primes(200):
+            if p == 2 or a % p == 0:
+                continue
+            total += 1
+            v, e = a % p, 1
+            while v != 1:
+                v = v * a % p
+                e += 1
+            if e == p - 1:
+                hits += 1
+        assert artin_fraction(a, 200) == Fraction(hits, total), a
 
 
 def test_artin_equals_histogram_at_c_one():
