@@ -15,7 +15,7 @@ from .arith import is_prime
 from .charpoly import analyze_poly
 from .demo import DEMO_SPEC, base_table
 from .detect import DEFAULT_POLICY, DetectPolicy, detect_full
-from .orderstats import MIN_LIMIT, index_histogram
+from .orderstats import MIN_LIMIT, NoQualifyingPrimes, index_histogram
 from .recurrence import RecurrenceSpec
 from .sweep import SweepConfig, run_sweep
 
@@ -40,6 +40,8 @@ def _parse_poly(text: str) -> list[int]:
     coeffs = _parse_ints(text, "polynomial")
     if not coeffs or coeffs[0] != 1:
         raise UsageError("characteristic polynomial must be monic")
+    if len(coeffs) < 2:
+        raise UsageError("--poly must have degree at least 1")
     return coeffs
 
 
@@ -163,8 +165,13 @@ def _cmd_order_stats(args) -> int:
         poly = list(reversed(_parse_poly(args.poly)))
     else:
         poly = [-args.base, 1]
-    # the extra C = 1 entry is the primitive-root fraction for --base
-    *table, (_, artin) = index_histogram(poly, args.limit, [*grid, 1])
+    try:
+        # the extra C = 1 entry is the primitive-root fraction for --base
+        *table, (_, artin) = index_histogram(poly, args.limit, [*grid, 1])
+    except NoQualifyingPrimes as exc:
+        raise UsageError(
+            f"{exc} up to {args.limit} (no odd unramified prime gives a nonzero root)"
+        ) from exc
     print("C    fraction with index <= C")
     for c, frac in table:
         print(f"{c:<4} {float(frac):.4f}  ({frac.numerator}/{frac.denominator})")

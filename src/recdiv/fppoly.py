@@ -12,12 +12,26 @@ distinct-degree splitting, so `pattern` is deterministic. Full factorization
 for p = 2); that stage is randomized but seeded from (seed, p,
 coefficients), and factor lists are sorted by degree then coefficients, so
 its output is reproducible too.
+
+Every power of x mod f goes through `_x_pow_mod`: x^(p^e) in
+distinct-degree splitting, x^p in `fp_root` and the irreducibility test,
+and x^n in `recurrence.term_mod`. Those powers are most of the per-prime
+F_p[x] work of a sweep, so the square-and-multiply is generated once per
+degree d, the way `recurrence._walker` is: the coefficients sit in d
+locals, the reductions of x^d..x^(2d-2) mod f are computed at entry, and
+multiplying by x is a shift plus one reduction. For d = 3, 4, 5, x^p mod f
+took 15, 27, 38 us at p = 9973 and 30, 53, 78 us at p = 3,000,017, against
+163, 219, 350 us and 307, 423, 564 us for the generic list arithmetic of
+`_pow_mod` (best of 5, CPython 3.11.7, 2-core VM). `_pow_mod` stays for
+general bases (equal-degree splitting, ExtElem powers) and as the kernel's
+test oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import FactoredInteger, factor_integer
 
@@ -103,6 +117,78 @@ def _pow_mod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
         base = _rem(_mul(base, base, p), g, p)
         e >>= 1
     return result
+
+
+# x^e mod f for monic f of degree d, as source: the coefficients of x^k mod f
+# for k = d..2d-2 sit in the locals q{k}_0..q{k}_{d-1}, computed at entry,
+# and the running result in r0..r{d-1}. A step squares the result, folding
+# the high half of the square back with those rows, and multiplies by x when
+# the exponent bit is set: a shift plus the row of x^d. Only names built
+# from the integer d are substituted.
+_X_POW_TEMPLATE = """
+def x_pow(f, e, p):
+    {cs} = f[:{d}]
+    {rows}
+    {rs} = {one}
+    for bit in bin(e)[2:]:
+        {square}
+        if bit == "1":
+            t = r{top}
+            {rs} = {times_x}
+    return _trim([{rs}])
+"""
+
+
+def _seq(items) -> str:
+    return ", ".join(items) + ","
+
+
+def _times_x(src: list[str], d: int) -> list[str]:
+    """x * src mod f as expressions, with t the top coefficient of src."""
+    return [f"t * q{d}_0 % p"] + [f"({src[i - 1]} + t * q{d}_{i}) % p" for i in range(1, d)]
+
+
+@lru_cache(maxsize=None)
+def _x_pow_kernel(d: int):
+    """The square-and-multiply for x^e mod f unrolled for degree d (see _X_POW_TEMPLATE)."""
+    rs = [f"r{i}" for i in range(d)]
+    high = range(d, 2 * d - 1)  # degrees of a square that f reduces
+
+    def row(k):
+        return [f"q{k}_{i}" for i in range(d)]
+
+    rows = [f"{_seq(row(d))} = {_seq(f'-c{i} % p' for i in range(d))}"]
+    for k in high[1:]:
+        rows += [f"t = q{k - 1}_{d - 1}", f"{_seq(row(k))} = {_seq(_times_x(row(k - 1), d))}"]
+    square = []
+    for k in range(2 * d - 1):
+        terms = [f"r{k // 2} * r{k // 2}"] if k % 2 == 0 else []
+        cross = [f"r{i} * r{k - i}" for i in range(max(0, k - d + 1), (k + 1) // 2)]
+        if cross:
+            terms.append(f"2 * ({' + '.join(cross)})")
+        square.append(f"z{k} = {' + '.join(terms)}" + (" % p" if k in high else ""))
+    folded = [" + ".join([f"z{i}"] + [f"z{k} * q{k}_{i}" for k in high]) for i in range(d)]
+    square.append(f"{_seq(rs)} = {_seq(f'({v}) % p' for v in folded)}")
+    src = _X_POW_TEMPLATE.format(
+        d=d,
+        cs=_seq(f"c{i}" for i in range(d)),
+        rows="\n    ".join(rows),
+        rs=_seq(rs),
+        one=_seq(["1"] + ["0"] * (d - 1)),
+        square="\n        ".join(square),
+        top=d - 1,
+        times_x=_seq(_times_x(rs, d)),
+    )
+    namespace = {"_trim": _trim}
+    exec(src, namespace)  # noqa: S102 - src depends on d alone
+    return namespace["x_pow"]
+
+
+def _x_pow_mod(e: int, f: list[int], p: int) -> list[int]:
+    """x^e mod f over F_p for monic f of degree >= 1; equals _pow_mod([0, 1], e, f, p)."""
+    if len(f) < 2 or f[-1] != 1:
+        raise ValueError("x^e mod f needs a monic f of degree >= 1")
+    return _x_pow_kernel(len(f) - 1)(f, e, p)
 
 
 def _deriv(a: list[int], p: int) -> list[int]:
@@ -240,16 +326,14 @@ def _sqf_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
 def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree splitting of monic squarefree f: (product, degree)."""
     out = []
-    w = [0, 1]  # x
     e = 1
     f = list(f)
     while len(f) - 1 >= 2 * e:
-        w = _pow_mod(w, p, f, p)
+        w = _x_pow_mod(p**e, f, p)
         g = _gcd_poly(_sub(w, [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, e))
             f = _divmod(f, g, p)[0]
-            w = _rem(w, f, p)
         e += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -354,7 +438,8 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
         return None
     if len(f) == 2:
         return -f[0] * pow(f[1], -1, p) % p
-    xp = _pow_mod([0, 1], p, f, p)
+    f = _monic(f, p)
+    xp = _x_pow_mod(p, f, p)
     lin = _gcd_poly(_sub(xp, [0, 1], p), f, p)
     if len(lin) <= 1:
         return None
@@ -375,11 +460,10 @@ def _is_irreducible(g: list[int], p: int) -> bool:
         return False
     if k == 1:
         return True
-    xp = _pow_mod([0, 1], p ** k, g, p)
-    if xp != _rem([0, 1], g, p):
+    if _x_pow_mod(p**k, g, p) != [0, 1]:
         return False
     for q in factor_integer(k).prime_divisors():
-        w = _pow_mod([0, 1], p ** (k // q), g, p)
+        w = _x_pow_mod(p ** (k // q), g, p)
         if len(_gcd_poly(_sub(w, [0, 1], p), g, p)) > 1:
             return False
     return True

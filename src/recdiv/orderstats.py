@@ -59,9 +59,13 @@ def root_order_row(coeffs, p: int, totient=None) -> OrderRow | None:
     return OrderRow(p, root, order, (p - 1) // order)
 
 
+class NoQualifyingPrimes(ValueError):
+    """No prime up to the limit gives an order row, so there is nothing to count."""
+
+
 def _histogram(rows: list[OrderRow], c_grid) -> list[tuple[int, Fraction]]:
     if not rows:
-        raise ValueError("no qualifying primes")
+        raise NoQualifyingPrimes("no qualifying primes")
     total = len(rows)
     return [
         (c, Fraction(sum(1 for r in rows if r.index <= c), total)) for c in c_grid

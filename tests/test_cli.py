@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from recdiv.cli import cli
 
 
@@ -13,6 +15,20 @@ def test_analyze_prints_profile(capsys):
 def test_non_monic_is_usage_error(capsys):
     assert cli(["sweep", "--poly", "2,1", "--init", "1", "--limit", "10"]) == 1
     assert "characteristic polynomial must be monic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze"],
+        ["sweep", "--init", "", "--limit", "100"],
+        ["detect", "--init", "", "-p", "7"],
+        ["order-stats", "--limit", "100"],
+    ],
+)
+def test_constant_poly_is_usage_error(capsys, args):
+    assert cli([*args, "--poly", "1"]) == 1
+    assert "--poly must have degree at least 1" in capsys.readouterr().err
 
 
 def test_wrong_init_length_is_usage_error(capsys):
@@ -112,6 +128,19 @@ def test_order_stats_limit_below_minimum_is_usage_error(capsys, monkeypatch):
         assert cli(["order-stats", *args, "--limit", "99"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--limit must be at least 100" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--base", "0"], "no qualifying primes up to 100"),  # the root is always 0
+        (["--poly", "1,0,0"], "no qualifying primes up to 100"),  # every prime ramifies
+    ],
+)
+def test_order_stats_without_qualifying_primes_is_usage_error(capsys, args, message):
+    assert cli(["order-stats", *args, "--limit", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_order_stats_poly(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from recdiv.fppoly import (
     FpPoly,
     _gcd_poly,
     _mul,
+    _pow_mod,
+    _x_pow_mod,
     ext_elem_order,
     ext_norm,
     factor_mod_p,
@@ -112,6 +116,58 @@ def test_pattern_root_is_the_lone_root(coeffs):
         else:
             assert pat.root is None, p
     assert lone > 50
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_x_pow_mod_matches_generic_pow_mod(d):
+    # oracle: the generic square-and-multiply on coefficient lists
+    rng = random.Random(d)
+    primes = [2, 3, 5, 7] + rng.sample(sieve_primes(10_000)[4:], 16)
+    for p in primes:
+        def monic(k):
+            return [rng.randrange(p) for _ in range(k)] + [1]
+
+        polys = [monic(d), [0] + monic(d - 1)]  # the second has f0 = 0
+        if d >= 2:
+            g = monic(1)
+            polys.append(_mul(_mul(g, g, p), monic(d - 2), p))  # repeated factor
+        exps = {0, 1, d - 1, d, p, p**2, p**3, rng.randrange(2**64), rng.randrange(2**64)}
+        for f in polys:
+            for e in exps:
+                assert _x_pow_mod(e, f, p) == _pow_mod([0, 1], e, f, p), (p, f, e)
+
+
+def test_x_pow_mod_rejects_non_monic_or_constant_modulus():
+    for f in ([1, 2], [3], []):
+        with pytest.raises(ValueError, match="monic"):
+            _x_pow_mod(5, f, 7)
+
+
+_SYMPY_POLYS = [
+    "x**3 - x**2 - x - 1",  # Tribonacci
+    "x**4 - x**3 - x**2 - x - 1",  # Tetranacci
+    "x**5 - x**4 - x**3 - x**2 - x - 1",  # Pentanacci
+    "x**3 - 2",
+    "x**5 - x - 1",
+    "(x**2 + x + 1)**2 * (x - 2)",  # not squarefree
+]
+
+
+# sympy 1.14 sorts its factors by comparing modular integers, which it deprecates
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("text", _SYMPY_POLYS)
+def test_pattern_matches_sympy_factor_list(text):
+    # oracle: sympy's factorization over F_p, an independent implementation
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sympy.expand(sympy.sympify(text))
+    coeffs = [int(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+    for p in sieve_primes(1000):
+        if coeffs[-1] % p == 0:
+            continue
+        _, factors = sympy.factor_list(expr, x, modulus=p)
+        want = sorted((sympy.degree(g, x) for g, m in factors for _ in range(m)), reverse=True)
+        assert pattern(coeffs, p).degrees == tuple(want), p
 
 
 _F49 = ExtField(7, FpPoly.from_list([5, 2, 1], 7))

@@ -13,6 +13,7 @@ from recdiv.recurrence import (
     term_int,
     term_iter,
     term_mod,
+    term_stream,
     zero_term_scan,
 )
 
@@ -97,6 +98,21 @@ def test_term_mod_agrees_with_term_int(coeffs, data):
         exact = next(it)
         for p in (3, 5, 7, 11):
             assert term_mod(spec, n, p) == exact % p
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.tuples(*[st.lists(st.integers(-9, 9), min_size=d, max_size=d)] * 2)
+    ),
+    st.sampled_from([2, 3, 5, 7, 11, 101, 9973]),
+)
+@settings(max_examples=40, deadline=None)
+def test_term_mod_agrees_with_term_stream(terms, p):
+    # oracle: the step-by-step recurrence mod p
+    coeffs, init = terms
+    spec = RecurrenceSpec(tuple(coeffs), tuple(init))
+    for n, want in zip(range(2000), term_stream(spec, p)):
+        assert term_mod(spec, n, p) == want, n
 
 
 def test_period_examples():
