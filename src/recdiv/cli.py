@@ -67,6 +67,8 @@ def _seed_from_env(default: int = 0) -> int:
 
 def _cmd_analyze(args) -> int:
     poly = _parse_poly(args.poly)
+    if args.prime_budget < 1:
+        raise UsageError(f"--prime-budget must be at least 1, got {args.prime_budget}")
     profile = analyze_poly(list(reversed(poly)), prime_budget=args.prime_budget)
     print(f"polynomial (low to high): {list(profile.poly)}")
     print(f"discriminant:            {profile.discriminant}")

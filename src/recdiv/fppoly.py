@@ -15,16 +15,17 @@ its output is reproducible too.
 
 Every power of x mod f goes through `_x_pow_mod`: x^(p^e) in
 distinct-degree splitting, x^p in `fp_root` and the irreducibility test,
-and x^n in `recurrence.term_mod`. Those powers are most of the per-prime
-F_p[x] work of a sweep, so the square-and-multiply is generated once per
-degree d, the way `recurrence._walker` is: the coefficients sit in d
-locals, the reductions of x^d..x^(2d-2) mod f are computed at entry, and
-multiplying by x is a shift plus one reduction. For d = 3, 4, 5, x^p mod f
-took 15, 27, 38 us at p = 9973 and 30, 53, 78 us at p = 3,000,017, against
-163, 219, 350 us and 307, 423, 564 us for the generic list arithmetic of
-`_pow_mod` (best of 5, CPython 3.11.7, 2-core VM). `_pow_mod` stays for
-general bases (equal-degree splitting, ExtElem powers) and as the kernel's
-test oracle.
+x^n in `recurrence.term_mod` and x^512, the block step, in the packed zero
+scan. Those powers are most of the per-prime F_p[x] work of a sweep, so
+the square-and-multiply is generated once per degree d, the way
+`recurrence._unrolled` generates the zero-scan walker: the coefficients
+sit in d locals, the reductions of x^d..x^(2d-2) mod f are computed at
+entry, and multiplying by x is a shift plus one reduction. For d = 3, 4,
+5, x^p mod f took 15, 27, 38 us at p = 9973 and 30, 53, 78 us at
+p = 3,000,017, against 163, 219, 350 us and 307, 423, 564 us for the
+generic list arithmetic of `_pow_mod` (best of 5, CPython 3.11.7, 2-core
+VM). `_pow_mod` stays for general bases (equal-degree splitting, ExtElem
+powers) and as the kernel's test oracle.
 """
 
 from __future__ import annotations

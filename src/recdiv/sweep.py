@@ -10,6 +10,7 @@ the config seed is only recorded in the JSON metadata.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,8 +32,9 @@ CSV_HEADER = "p,pattern,squarefree,excluded_reason,verdict,method,witness_n,ord_
 class SweepConfig:
     """One sweep: the sequence, the prime bound, scan budgets, and output paths.
 
-    Rejects, with a ValueError, an order or limit beyond the sweep guards
-    and a worker count below 1.
+    Rejects, with a ValueError, an order or limit beyond the sweep guards,
+    a limit below 2, a worker count below 1, and an output path whose
+    directory does not exist, so a bad path fails before the sweep runs.
     """
 
     spec: RecurrenceSpec
@@ -47,10 +49,15 @@ class SweepConfig:
         d = self.spec.order
         if d > MAX_ORDER:
             raise ValueError(f"order {d} exceeds the sweep cap of {MAX_ORDER}")
+        if self.limit < 2:
+            raise ValueError(f"limit must be at least 2, the least prime, got {self.limit}")
         if self.limit > MAX_LIMIT or self.limit ** max(1, d - 1) >= _WORD_GUARD:
             raise ValueError(f"limit {self.limit} violates the sweep guard for order {d}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        for path in (self.csv_path, self.json_path):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"cannot write {path}: its directory does not exist")
 
 
 @dataclass(frozen=True)

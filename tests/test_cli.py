@@ -207,3 +207,33 @@ def test_detect_rejects_non_prime(capsys, monkeypatch):
         assert rc == 1, n
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"got {n}" in err, n
+
+
+@pytest.mark.parametrize("limit", ["-5", "1"])
+def test_sweep_limit_below_two_is_usage_error(capsys, limit):
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", limit])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {limit}" in err
+
+
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_analyze_prime_budget_below_one_is_usage_error(capsys, budget):
+    assert cli(["analyze", "--poly", "1,-1,-1,-1", "--prime-budget", budget]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--prime-budget must be at least 1, got {budget}" in err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, flag):
+    import recdiv.cli
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(recdiv.cli, "run_sweep", no_sweep)
+    path = str(tmp_path / "missing" / "out")
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "100", flag, path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err

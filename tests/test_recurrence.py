@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdiv.arith import sieve_primes
+from recdiv.arith import mult_order, sieve_primes
 from recdiv.recurrence import (
+    BLOCK,
     BruteResult,
     RecurrenceSpec,
     has_zero_bruteforce,
@@ -16,6 +17,7 @@ from recdiv.recurrence import (
     term_stream,
     zero_term_scan,
 )
+from recdiv.recurrence import _mod_recurrence, _walker
 
 
 def test_spec_validation():
@@ -228,3 +230,63 @@ def test_bruteforce_walker_matches_reference_scan():
                     assert got == want, (spec.fingerprint(), p, cap)
                     cases += 1
     assert cases > 5000
+
+
+def _roots_power_sums(p, roots):
+    """The recurrence whose terms are sum_r r^n mod p, from its roots."""
+    poly = [1]
+    for r in roots:
+        poly = [(a - r * b) % p for a, b in zip([0] + poly, poly + [0])]
+    init = [sum(pow(r, n, p) for r in roots) % p for n in range(len(roots))]
+    return RecurrenceSpec(tuple(poly[:-1]), tuple(init))
+
+
+def _block_edge_cases():
+    """Scans whose period or witness lies on a block edge: power sums of
+    r, r^2, ..., r^d with r of order 2*BLOCK mod 12289, and r of order
+    3*BLOCK mod 18433."""
+    cases = []
+    for p, blocks, orders in ((12289, 2, range(1, 6)), (18433, 3, (1,))):
+        g = next(a for a in range(2, p) if mult_order(a, p) == p - 1)
+        r = pow(g, (p - 1) // (blocks * BLOCK), p)
+        for d in orders:
+            cases.append((_roots_power_sums(p, [pow(r, j, p) for j in range(1, d + 1)]), p))
+    return cases
+
+
+def test_block_scan_matches_reference_scan():
+    rng = random.Random(7)
+    primes = [p for p in sieve_primes(4000) if p >= 500]
+    cases = _block_edge_cases()
+    for d in range(1, 6):
+        for spec in _oracle_specs(d):
+            for p in rng.sample(primes, 4):
+                if spec.coeffs[0] % p:
+                    cases.append((spec, p))
+    kinds = set()
+    for spec, p in cases:
+        ks, s0 = _mod_recurrence(spec, p)
+        full = _walker(spec.order)(ks, s0, p, 60_000)
+        if full.kind == "capped":
+            continue  # a long nondivisor period: too slow for the reference scan
+        steps, end = full.steps, full.witness if full.kind == "divisor" else full.period
+        kinds.add((full.kind, steps > BLOCK, end % BLOCK == 0))
+        for cap in {1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
+                    steps - 1, steps, steps + 1, 10**7}:
+            got = has_zero_bruteforce(spec, p, cap)
+            assert got == _reference_zero_scan(spec, p, cap), (spec.fingerprint(), p, cap)
+    # witnesses and periods past the first block, and on a block edge
+    for kind in ("divisor", "nondivisor"):
+        assert {(kind, True, False), (kind, True, True)} <= kinds
+
+
+@pytest.mark.parametrize("p", [999983, 1000003])
+def test_block_scan_matches_walker_near_1e6(p):
+    for spec in (RecurrenceSpec((-1, -1, -1), (1, 1, 1)), RecurrenceSpec((-1,) * 4, (1,) * 4)):
+        ks, s0 = _mod_recurrence(spec, p)
+        want = _walker(spec.order)(ks, s0, p, 10**7)
+        assert want.kind == "divisor" and want.steps > 50 * BLOCK
+        assert has_zero_bruteforce(spec, p, 10**7) == want
+        assert has_zero_bruteforce(spec, p, want.steps) == want
+        short = want.steps - 1
+        assert has_zero_bruteforce(spec, p, short) == BruteResult("capped", steps=short)
