@@ -25,7 +25,6 @@ from .fppoly import (
     ExtField,
     FactorPattern,
     FpPoly,
-    ext_elem_order,
     ext_norm,
     factor_mod_p,
     fp_root,

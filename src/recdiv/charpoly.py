@@ -1,13 +1,13 @@
 """Hypothesis checks on characteristic polynomials.
 
 Exact integer arithmetic throughout: discriminants and resultants go
-through fraction-free Bareiss elimination on Sylvester matrices, degeneracy
-(a ratio of two roots being a root of unity) is decided by testing the
-ratio polynomial Res_y(P(y), P(x*y)) against cyclotomic polynomials, and
-irreducibility / symmetric-group certificates come from factorization
-patterns sampled at squarefree primes. The pattern-based checks are sound
-but incomplete, so they answer yes / no / unknown.
-"""
+through fraction-free Bareiss elimination on Sylvester matrices, and
+degeneracy (a ratio of two roots being a root of unity) is decided by the
+discriminants of the polynomials whose roots are the m-th powers of the
+roots, built from power sums with Newton's identities. Irreducibility and
+symmetric-group certificates come from factorization patterns sampled at
+squarefree primes. The pattern-based checks are sound but incomplete, so
+they answer yes / no / unknown."""
 
 from __future__ import annotations
 
@@ -27,46 +27,6 @@ def _ipoly(coeffs) -> list[int]:
     return _trim([int(c) for c in coeffs])
 
 
-def _ip_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _ip_sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _ip_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[x]; raises if the division leaves a remainder."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        if a[-1] % b[-1] != 0:
-            raise ArithmeticError("inexact polynomial division")
-        c = a[-1] // b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        _trim(a)
-        if not a:
-            break
-    if a:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 def _ip_eval(a: list[int], x: int) -> int:
     v = 0
     for c in reversed(a):
@@ -82,43 +42,32 @@ def _ip_deriv(a: list[int]) -> list[int]:
 # fraction-free determinants and resultants
 
 
-def _bareiss_det(mat: list[list], mul, sub, divexact, is_zero, zero, one):
+def _bareiss_det(mat: list[list[int]]) -> int:
+    """Determinant of an integer matrix of size >= 2, by fraction-free elimination."""
     m = [row[:] for row in mat]
     n = len(m)
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if is_zero(m[k][k]):
+        if m[k][k] == 0:
             for r in range(k + 1, n):
-                if not is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return zero
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = divexact(sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j])), prev)
-            m[i][k] = zero
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else sub(zero, det)
+    return sign * m[n - 1][n - 1]
 
 
-def _sylvester(f: list, g: list, zero) -> list[list]:
+def _sylvester(f: list[int], g: list[int]) -> list[list[int]]:
     """Sylvester matrix rows (coefficients highest degree first)."""
     n, m = len(f) - 1, len(g) - 1
-    size = n + m
-    rows = []
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    for i in range(m):
-        rows.append([zero] * i + fr + [zero] * (m - 1 - i))
-    for j in range(n):
-        rows.append([zero] * j + gr + [zero] * (n - 1 - j))
-    return rows
+    rows = [[0] * i + f[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return rows + [[0] * j + g[::-1] + [0] * (n - 1 - j) for j in range(n)]
 
 
 def resultant_int(f, g) -> int:
@@ -130,31 +79,7 @@ def resultant_int(f, g) -> int:
         return f[0] ** (len(g) - 1)
     if len(g) == 1:
         return g[0] ** (len(f) - 1)
-    mat = _sylvester(f, g, 0)
-    return _bareiss_det(
-        mat,
-        lambda a, b: a * b,
-        lambda a, b: a - b,
-        lambda a, b: a // b,
-        lambda a: a == 0,
-        0,
-        1,
-    )
-
-
-def _resultant_in_y(f_rows: list[list[int]], g_rows: list[list[int]]) -> list[int]:
-    """Resultant in y of two polynomials whose y-coefficients are in Z[x]."""
-    mat = _sylvester(f_rows, g_rows, [])
-    det = _bareiss_det(
-        mat,
-        _ip_mul,
-        _ip_sub,
-        _ip_divexact,
-        lambda a: not a,
-        [],
-        [1],
-    )
-    return det
+    return _bareiss_det(_sylvester(f, g))
 
 
 def discriminant(coeffs) -> int:
@@ -168,44 +93,49 @@ def discriminant(coeffs) -> int:
     return sign * res // p[-1]
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (-1, 1)
-    f = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            f = _ip_divexact(f, list(_cyclotomic(d)))
-    return tuple(f)
-
-
-def cyclotomic(m: int) -> list[int]:
-    """The m-th cyclotomic polynomial, lowest degree first."""
-    return list(_cyclotomic(m))
-
-
 # ---------------------------------------------------------------------------
 # non-degeneracy
 
 
-def _ratio_poly(poly: list[int]) -> list[int]:
-    """Res_y(P(y), P(x*y)): a polynomial whose roots include all root ratios."""
-    d = len(poly) - 1
-    f_rows = [[c] if c else [] for c in poly]  # P(y), constants in x
-    g_rows = []
-    for i, c in enumerate(poly):  # P(x*y): coefficient of y^i is c * x^i
-        g_rows.append(([0] * i + [c]) if c else [])
-    return _resultant_in_y(f_rows, g_rows)
+def _power_sums(monic: list[int], count: int) -> list[int]:
+    """Power sums s_0..s_count of the roots of a monic integer polynomial.
+
+    Newton's identities: s_k = -(k c_{d-k} + sum_{i=1}^{k-1} c_{d-i} s_{k-i}),
+    where c_j = 0 for j < 0.
+    """
+    d = len(monic) - 1
+    sums = [d]
+    for k in range(1, count + 1):
+        v = k * monic[d - k] if k <= d else 0
+        v += sum(monic[d - i] * sums[k - i] for i in range(1, min(k - 1, d) + 1))
+        sums.append(-v)
+    return sums
+
+
+def _root_power_poly(sums: list[int], d: int, m: int) -> list[int]:
+    """The monic polynomial whose roots are the m-th powers of the roots.
+
+    Newton's identities again, run backwards from the power sums s_{km} of
+    the m-th powers to the coefficients; every division is exact.
+    """
+    out = [0] * d + [1]
+    for k in range(1, d + 1):
+        v = sums[k * m] + sum(out[d - i] * sums[(k - i) * m] for i in range(1, k))
+        out[d - k] = -v // k
+    return out
 
 
 def nondegeneracy(coeffs) -> tuple[str, int | None]:
     """Whether no ratio of two distinct roots is a root of unity.
 
-    Returns ("no", m) with the least m whose cyclotomic polynomial divides
-    the ratio polynomial, or ("yes", None). Requires squarefree input; the
-    forced diagonal (x-1)^d factor of the ratio polynomial is removed
-    before testing. A root at 0 is stripped first (its ratios are 0 or
-    undefined, neither a root of unity).
+    Two distinct roots have a ratio of order dividing m exactly when their
+    m-th powers coincide, that is, when the polynomial of m-th powers of the
+    roots has discriminant 0. A ratio lies in a field of degree at most
+    d(d-1), so its order m has phi(m) <= d(d-1), and the least such m is the
+    least order of a ratio. Returns ("no", m) for that m, or ("yes", None).
+    The roots are first scaled by the leading coefficient, which keeps their
+    ratios and makes the polynomial monic. A root at 0 needs no care: its
+    powers are 0 and no other root's are. Requires squarefree input.
     """
     poly = _ipoly(coeffs)
     d = len(poly) - 1
@@ -213,25 +143,15 @@ def nondegeneracy(coeffs) -> tuple[str, int | None]:
         return ("yes", None)
     if discriminant(poly) == 0:
         raise ValueError("repeated roots")
-    work = list(poly)
-    if work[0] == 0:
-        work = work[1:]
-        if len(work) - 1 < 2:
-            return ("yes", None)
-    k = len(work) - 1
-    ratio = _ratio_poly(work)
-    for _ in range(k):
-        # synthetic division by (x - 1); the diagonal pairs force the factor
-        out = []
-        acc = 0
-        for c in reversed(ratio):
-            acc = acc + c
-            out.append(acc)
-        assert out[-1] == 0, "ratio polynomial must vanish at 1"
-        ratio = list(reversed(out[:-1]))
+    lead = poly[-1]
+    # lead^(d-1) P(x / lead): its roots are lead times P's roots
+    monic = [c * lead ** (d - 1 - i) for i, c in enumerate(poly[:-1])] + [1]
     bound = d * (d - 1)
-    for m in range(1, 2 * bound * bound + 1):
-        if euler_phi(m) <= bound and resultant_int(ratio, cyclotomic(m)) == 0:
+    # m = 1 would compare the roots themselves, which are distinct
+    orders = [m for m in range(2, 2 * bound * bound + 1) if euler_phi(m) <= bound]
+    sums = _power_sums(monic, d * orders[-1])
+    for m in orders:
+        if discriminant(_root_power_poly(sums, d, m)) == 0:
             return ("no", m)
     return ("yes", None)
 
@@ -247,21 +167,27 @@ def _subset_sums(parts: tuple[int, ...], limit: int) -> set[int]:
     return {s for s in sums if 1 <= s <= limit}
 
 
+SAMPLE_LIMIT = 100_000
+
+
+class PrimeBudgetTooLarge(ValueError):
+    """The prime budget asks for more unramified primes than the sample holds."""
+
+
 @lru_cache(maxsize=1)
 def _sample_primes() -> tuple[int, ...]:
-    return tuple(sieve_primes(100_000))
+    return tuple(sieve_primes(SAMPLE_LIMIT))
 
 
-def _squarefree_primes(disc: int, budget: int):
-    count = 0
-    for p in _sample_primes():
-        if disc % p == 0:
-            continue
-        yield p
-        count += 1
-        if count >= budget:
-            return
-    raise RuntimeError("prime budget exceeded the sieve range")
+def _squarefree_primes(disc: int, budget: int) -> list[int]:
+    """The first `budget` sample primes that do not divide the discriminant."""
+    usable = [p for p in _sample_primes() if disc % p]
+    if budget > len(usable):
+        raise PrimeBudgetTooLarge(
+            f"asked for {budget} primes, but only {len(usable)} primes below "
+            f"{SAMPLE_LIMIT} do not divide the discriminant"
+        )
+    return usable[:budget]
 
 
 def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | None]:

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .arith import is_prime
-from .charpoly import analyze_poly
+from .charpoly import PrimeBudgetTooLarge, analyze_poly
 from .demo import DEMO_SPEC, base_table
 from .detect import DEFAULT_POLICY, DetectPolicy, detect_full
 from .orderstats import MIN_LIMIT, NoQualifyingPrimes, index_histogram
@@ -69,7 +69,10 @@ def _cmd_analyze(args) -> int:
     poly = _parse_poly(args.poly)
     if args.prime_budget < 1:
         raise UsageError(f"--prime-budget must be at least 1, got {args.prime_budget}")
-    profile = analyze_poly(list(reversed(poly)), prime_budget=args.prime_budget)
+    try:
+        profile = analyze_poly(list(reversed(poly)), prime_budget=args.prime_budget)
+    except PrimeBudgetTooLarge as exc:
+        raise UsageError(f"--prime-budget too large: {exc}") from exc
     print(f"polynomial (low to high): {list(profile.poly)}")
     print(f"discriminant:            {profile.discriminant}")
     wit = f" (witness {profile.irreducible_witness})" if profile.irreducible_witness is not None else ""

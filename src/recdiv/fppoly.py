@@ -11,12 +11,15 @@ distinct-degree splitting, so `pattern` is deterministic. Full factorization
 (`factor_mod_p`) adds Cantor-Zassenhaus equal-degree splitting (trace-based
 for p = 2); that stage is randomized but seeded from (seed, p,
 coefficients), and factor lists are sorted by degree then coefficients, so
-its output is reproducible too.
+its output is reproducible too. No library path needs full factorization
+or an extension field: `factor_mod_p`, `solve_gamma`, `frobenius`,
+`ext_norm`, ExtField and ExtElem serve the tests as independent oracles.
 
 Every power of x mod f goes through `_x_pow_mod`: x^(p^e) in
 distinct-degree splitting, x^p in `fp_root` and the irreducibility test,
-x^n in `recurrence.term_mod` and x^512, the block step, in the packed zero
-scan. Those powers are most of the per-prime F_p[x] work of a sweep, so
+x^n in `recurrence.term_mod`, x^512, the block step, in the packed zero
+scan, and x^((p^e - 1)/q), the order of x mod a distinct-degree block, in
+`recurrence.period_mod`. Those powers are most of the per-prime F_p[x] work of a sweep, so
 the square-and-multiply is generated once per degree d, the way
 `recurrence._unrolled` generates the zero-scan walker: the coefficients
 sit in d locals, the reductions of x^d..x^(2d-2) mod f are computed at
@@ -25,7 +28,7 @@ entry, and multiplying by x is a shift plus one reduction. For d = 3, 4,
 p = 3,000,017, against 163, 219, 350 us and 307, 423, 564 us for the
 generic list arithmetic of `_pow_mod` (best of 5, CPython 3.11.7, 2-core
 VM). `_pow_mod` stays for general bases (equal-degree splitting, ExtElem
-powers) and as the kernel's test oracle.
+powers in the test oracles) and as the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import FactoredInteger, factor_integer
+from .arith import factor_integer
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +493,6 @@ class ExtField:
     def degree(self) -> int:
         return self.modulus.degree
 
-    @property
-    def group_order(self) -> int:
-        return self.p**self.degree - 1
-
     def elem(self, coeffs: list[int]) -> "ExtElem":
         c = [v % self.p for v in coeffs]
         c = _rem(c, list(self.modulus.coeffs), self.p)
@@ -590,22 +589,6 @@ def ext_norm(a: ExtElem) -> int:
     q = (p**k - 1) // (p - 1)
     b = a**q
     return b.base_value()
-
-
-def ext_elem_order(a: ExtElem, totient: FactoredInteger) -> int:
-    """Multiplicative order of a nonzero element of F_{p^k}.
-
-    totient must be the factorization of p^k - 1.
-    """
-    if a.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    if totient.value != a.field.group_order:
-        raise ValueError("totient must factor p^k - 1")
-    order = totient.value
-    for q, _ in totient.factors:
-        while order % q == 0 and (a ** (order // q)) == a.field.one():
-            order //= q
-    return order
 
 
 def solve_gamma(roots: list[ExtElem], init: list[int]) -> list[ExtElem]:

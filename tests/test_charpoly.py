@@ -5,7 +5,6 @@ import pytest
 from recdiv.arith import sieve_primes
 from recdiv.charpoly import (
     analyze_poly,
-    cyclotomic,
     discriminant,
     expected_pattern_density,
     is_irreducible_over_Q,
@@ -56,15 +55,6 @@ def test_resultant_shared_root():
     assert resultant_int([6, -5, 1], [35, -12, 1]) != 0
 
 
-def test_cyclotomic_small():
-    assert cyclotomic(1) == [-1, 1]
-    assert cyclotomic(2) == [1, 1]
-    assert cyclotomic(4) == [1, 0, 1]
-    assert cyclotomic(6) == [1, -1, 1]
-    # phi(12) = 4: x^4 - x^2 + 1
-    assert cyclotomic(12) == [1, 0, -1, 0, 1]
-
-
 def test_irreducibility_examples():
     assert is_irreducible_over_Q([-1, 0, 0, 1]) == ("no", 1)  # x^3 - 1
     verdict, _ = is_irreducible_over_Q(TRIB_POLY)
@@ -88,6 +78,11 @@ def test_nondegeneracy_examples():
     assert nondegeneracy(TRIB_POLY) == ("yes", None)
     verdict, m = nondegeneracy([2, -2, 1])  # roots 1 +- i
     assert verdict == "no" and m == 4
+    assert nondegeneracy([1, 1, 1]) == ("no", 3)  # primitive cube roots of unity
+    assert nondegeneracy([3, -3, 1]) == ("no", 6)  # roots sqrt(3) e^(+-i pi/6)
+    assert nondegeneracy([-2, 0, 0, 1]) == ("no", 3)  # cube roots of 2
+    assert nondegeneracy([0, 1, 0, 1]) == ("no", 2)  # 0 and +-i
+    assert nondegeneracy([0, 1, 1]) == ("yes", None)  # 0 and -1
 
 
 def test_nondegeneracy_rejects_repeated_roots():

@@ -224,6 +224,21 @@ def test_analyze_prime_budget_below_one_is_usage_error(capsys, budget):
     assert err.startswith("error:") and f"--prime-budget must be at least 1, got {budget}" in err
 
 
+def test_analyze_prime_budget_beyond_sample_is_usage_error(capsys, monkeypatch):
+    import recdiv.charpoly
+
+    def no_pattern(*args):
+        raise AssertionError("pattern computed before the budget was checked")
+
+    monkeypatch.setattr(recdiv.charpoly, "pattern", no_pattern)
+    # x^3 - 3x + 1 is a cyclic cubic, so no sampled prime ever certifies S_3;
+    # 3 is the only prime below 1e5 that divides its discriminant 81
+    assert cli(["analyze", "--poly", "1,0,-3,1", "--prime-budget", "20000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --prime-budget too large:")
+    assert "20000" in err and "9591" in err
+
+
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
 def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, flag):
     import recdiv.cli

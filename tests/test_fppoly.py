@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdiv.arith import factor_integer, sieve_primes
+from recdiv.arith import sieve_primes
 from recdiv.charpoly import expected_pattern_density
 from recdiv.demo import DEMO_SPEC
 from recdiv.fppoly import (
@@ -14,7 +14,6 @@ from recdiv.fppoly import (
     _mul,
     _pow_mod,
     _x_pow_mod,
-    ext_elem_order,
     ext_norm,
     factor_mod_p,
     fp_root,
@@ -223,20 +222,6 @@ def test_frobenius_power_is_identity(coeffs):
 def test_ext_norm_multiplicative(c1, c2):
     a, b = _F49.elem(c1), _F49.elem(c2)
     assert ext_norm(a * b) == ext_norm(a) * ext_norm(b) % 7
-
-
-def test_ext_elem_order_examples():
-    assert ext_elem_order(_F49.one(), factor_integer(48)) == 1
-    # generator of F_4^*: the class of x in F_2[x]/(x^2+x+1) has order 3
-    f4 = ExtField(2, FpPoly.from_list([1, 1, 1], 2))
-    assert ext_elem_order(f4.gen(), factor_integer(3)) == 3
-    # base-field embedding preserves the order: 2 has order 3 mod 7
-    assert ext_elem_order(_F49.embed(2), factor_integer(48)) == 3
-
-
-def test_ext_elem_order_zero_rejected():
-    with pytest.raises(ValueError):
-        ext_elem_order(_F49.zero(), factor_integer(48))
 
 
 def test_solve_gamma_geometric():

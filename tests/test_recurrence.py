@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiv.arith import mult_order, sieve_primes
+from recdiv.fppoly import _mul, _rem, pattern
 from recdiv.recurrence import (
     BLOCK,
     BruteResult,
@@ -141,12 +142,60 @@ def test_period_root_orders_rejects_ramified(tribonacci):
         period_mod(tribonacci, 11, "root-orders")  # 11 divides disc -44
 
 
-def test_period_divides_root_order_period(tribonacci):
+# characteristic polynomials of orders 1-5, highest degree first
+ROOT_ORDER_POLYS = {
+    "2^n": [1, -2],
+    "fibonacci": [1, -1, -1],
+    "x^2+1": [1, 0, 1],
+    "tribonacci": [1, -1, -1, -1],
+    "x^3-2": [1, 0, 0, -2],
+    "tetranacci": [1, -1, -1, -1, -1],
+    "x^4+1": [1, 0, 0, 0, 1],
+    "pentanacci": [1, -1, -1, -1, -1, -1],
+    "x^5-x-1": [1, 0, 0, 0, -1, -1],
+}
+
+
+def _unramified(spec, bound, count=5):
+    """The largest `count` primes p with p^d <= bound that keep the orbit
+    purely periodic and f mod p squarefree."""
+    primes = sieve_primes(int(bound ** (1 / spec.order)) + 1)
+    good = [
+        p
+        for p in primes
+        if p**spec.order <= bound and spec.coeffs[0] % p and pattern(spec.char_poly(), p).squarefree
+    ]
+    return good[-count:]
+
+
+def _spec(name):
+    poly = ROOT_ORDER_POLYS[name]
+    return RecurrenceSpec.from_char_poly(poly, [1] * (len(poly) - 1))
+
+
+def test_root_order_period_matches_stepping():
+    # oracle: the least n >= 1 with x^n = 1 mod f, stepping x^n by one
+    # multiplication at a time; for squarefree f this is the lcm of the root orders
+    for name in ROOT_ORDER_POLYS:
+        spec = _spec(name)
+        primes = _unramified(spec, 20_000)
+        assert len(primes) >= 3, name
+        for p in primes:
+            f = [c % p for c in spec.char_poly()]
+            xn, n = [0, 1], 1
+            while xn != [1]:
+                xn, n = _rem(_mul(xn, [0, 1], p), f, p), n + 1
+            assert period_mod(spec, p, "root-orders") == n, (name, p)
+
+
+def test_period_divides_root_order_period():
     # brute period divides the root-order lcm; equal when no gamma vanishes
-    for p in (3, 5, 7, 13, 17, 19, 23):
-        brute = period_mod(tribonacci, p, "brute")
-        upper = period_mod(tribonacci, p, "root-orders")
-        assert upper % brute == 0
+    for name in ("tribonacci", "tetranacci", "pentanacci", "x^5-x-1"):
+        spec = _spec(name)
+        for p in _unramified(spec, 30_000, count=8):
+            brute = period_mod(spec, p, "brute")
+            upper = period_mod(spec, p, "root-orders")
+            assert upper % brute == 0, (name, p)
 
 
 def test_has_zero_examples(tribonacci):
