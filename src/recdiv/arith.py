@@ -1,19 +1,27 @@
 """Exact integer primitives: sieve, primality, factorization, multiplicative orders.
 
-Everything in this module is deterministic. Primality uses fixed Miller-Rabin
-witness sets that are exact for all n < 2**64, and factorization runs trial
-division by small primes followed by Brent-cycle Pollard rho with a fixed
-parameter schedule, so repeated runs give identical results. Python integers
-are arbitrary precision, so intermediate products never overflow.
+Everything in this module is deterministic. Primality is a lookup among the
+sieved primes up to _TRIAL_BOUND and fixed Miller-Rabin witness sets above
+it, exact for all n < 2**64. factor_integer runs trial division by small
+primes followed by Brent-cycle Pollard rho with a fixed parameter schedule,
+so repeated runs give identical results. A run over every prime up to a
+bound factors each p - 1 with odd_prime_totients instead, from one table of
+smallest prime factors. Python integers are arbitrary precision, so
+intermediate products never overflow.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice
 
-# Trial division bound used before switching to Pollard rho.
+# Trial division bound used before switching to Pollard rho; is_prime looks
+# n up among the sieved primes up to this bound.
 _TRIAL_BOUND = 10_000
 _MAX_FACTOR_INPUT = 2**64
 
@@ -34,13 +42,13 @@ def sieve_primes(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(compress(range(limit + 1), flags))
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2**64."""
-    if n < 2:
-        return False
+    if n <= _TRIAL_BOUND:
+        return n in _small_prime_set()
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
@@ -104,6 +112,11 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(sieve_primes(_TRIAL_BOUND))
 
 
+@lru_cache(maxsize=1)
+def _small_prime_set() -> frozenset[int]:
+    return frozenset(_small_primes())
+
+
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of odd composite n, found with a fixed c schedule."""
     c = 1
@@ -160,6 +173,47 @@ def factor_integer(n: int) -> FactoredInteger:
     if n > 1:
         _factor_into(n, found)
     return FactoredInteger(value, tuple(sorted(found.items())))
+
+
+def _odd_spf_table(limit: int, primes: list[int]) -> array:
+    """Smallest prime factor of each odd m <= limit // 2, stored at index m // 2.
+
+    0 marks m prime (and m = 1). primes must hold every prime up to
+    isqrt(limit). Each odd one, q, writes q over its odd multiples from q*q
+    on, largest q first, so the smallest factor is written last. Entries are
+    16 bits wide while isqrt(limit) < 2**16, 32 bits above that.
+    """
+    size = limit // 4 + 1  # indices of the odd m <= limit // 2
+    root = math.isqrt(limit)
+    table = array("H" if root < 2**16 else "I", [0]) * size
+    for q in reversed(primes[1 : bisect_right(primes, root)]):
+        start = q * q // 2
+        table[start::q] = array(table.typecode, [q]) * len(range(start, size, q))
+    return table
+
+
+def odd_prime_totients(limit: int) -> Iterator[tuple[int, FactoredInteger]]:
+    """(p, FactoredInteger(p - 1)) for each odd prime p <= limit, ascending.
+
+    The 2s of p - 1 come off with a bit trick; the odd part m is walked down
+    the table of smallest prime factors, so no trial division or rho runs.
+    """
+    primes = sieve_primes(limit)
+    table = _odd_spf_table(limit, primes)
+    for p in islice(primes, 1, None):
+        n = p - 1
+        twos = (n & -n).bit_length() - 1
+        m = n >> twos
+        factors = [(2, twos)]
+        while m > 1:
+            q = table[m >> 1] or m
+            m //= q
+            e = 1
+            while m % q == 0:
+                m //= q
+                e += 1
+            factors.append((q, e))
+        yield p, FactoredInteger(n, tuple(factors))
 
 
 def mult_order(a: int, p: int, totient: FactoredInteger | None = None) -> int:

@@ -82,6 +82,11 @@ def resultant_int(f, g) -> int:
     return _bareiss_det(_sylvester(f, g))
 
 
+def _disc(poly: list[int]) -> int:
+    """The discriminant of a trimmed polynomial, taken as 1 below degree 2."""
+    return discriminant(poly) if len(poly) > 2 else 1
+
+
 def discriminant(coeffs) -> int:
     """Exact discriminant via the resultant of P and P'."""
     p = _ipoly(coeffs)
@@ -138,11 +143,16 @@ def nondegeneracy(coeffs) -> tuple[str, int | None]:
     powers are 0 and no other root's are. Requires squarefree input.
     """
     poly = _ipoly(coeffs)
-    d = len(poly) - 1
-    if d < 2:
+    if len(poly) < 3:
         return ("yes", None)
     if discriminant(poly) == 0:
         raise ValueError("repeated roots")
+    return _least_ratio_order(poly)
+
+
+def _least_ratio_order(poly: list[int]) -> tuple[str, int | None]:
+    """nondegeneracy for a trimmed squarefree polynomial of degree >= 2."""
+    d = len(poly) - 1
     lead = poly[-1]
     # lead^(d-1) P(x / lead): its roots are lead times P's roots
     monic = [c * lead ** (d - 1 - i) for i, c in enumerate(poly[:-1])] + [1]
@@ -190,6 +200,15 @@ def _squarefree_primes(disc: int, budget: int) -> list[int]:
     return usable[:budget]
 
 
+def _monic(coeffs) -> list[int]:
+    poly = _ipoly(coeffs)
+    if len(poly) < 2:
+        raise ValueError("need degree >= 1")
+    if poly[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    return poly
+
+
 def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | None]:
     """Sound, incomplete irreducibility test for a monic integer polynomial.
 
@@ -197,12 +216,13 @@ def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | N
     from an irreducible pattern at some prime or from degree-sum analysis
     across sampled squarefree primes; otherwise "unknown".
     """
-    poly = _ipoly(coeffs)
+    poly = _monic(coeffs)
+    return _irreducibility(poly, _disc(poly), prime_budget)
+
+
+def _irreducibility(poly: list[int], disc: int, prime_budget: int) -> tuple[str, int | None]:
+    """is_irreducible_over_Q for a trimmed monic polynomial with discriminant disc."""
     d = len(poly) - 1
-    if d < 1:
-        raise ValueError("need degree >= 1")
-    if poly[-1] != 1:
-        raise ValueError("polynomial must be monic")
     if d == 1:
         return ("yes", None)
     if poly[0] == 0:
@@ -216,7 +236,6 @@ def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | N
         for r in (1, -1):
             if _ip_eval(poly, r) == 0:
                 return ("no", r)
-    disc = discriminant(poly)
     if disc == 0:
         # shares a factor with its derivative, hence a proper factor over Q
         return ("no", None)
@@ -240,14 +259,21 @@ def sd_certificate(coeffs, prime_budget: int = 200) -> tuple[str, dict[str, int]
     ("certified" | "unknown", {pattern: witness prime}); the {1, d-1}
     witness is recorded even when certification fails.
     """
-    poly = _ipoly(coeffs)
-    d = len(poly) - 1
-    verdict, _ = is_irreducible_over_Q(poly, prime_budget)
-    if verdict != "yes":
+    poly = _monic(coeffs)
+    disc = _disc(poly)
+    irreducible, _ = _irreducibility(poly, disc, prime_budget)
+    return _sd_search(poly, disc, irreducible, prime_budget)
+
+
+def _sd_search(
+    poly: list[int], disc: int, irreducible: str, prime_budget: int
+) -> tuple[str, dict[str, int]]:
+    """sd_certificate, given the discriminant and the irreducibility verdict."""
+    if irreducible != "yes":
         return ("unknown", {})
+    d = len(poly) - 1
     if d <= 2:
         return ("certified", {})
-    disc = discriminant(poly)
     transposition = tuple([2] + [1] * (d - 2))
     long_cycle = (d - 1, 1)
     wanted = {transposition, long_cycle, (d,)}
@@ -308,15 +334,15 @@ def analyze_poly(coeffs, prime_budget: int = 200) -> PolyProfile:
     d = len(poly) - 1
     if d < 1 or poly[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    disc = discriminant(poly) if d >= 2 else 1
-    irr, irr_witness = is_irreducible_over_Q(poly, prime_budget)
+    disc = _disc(poly)
+    irr, irr_witness = _irreducibility(poly, disc, prime_budget)
     if d < 2:
         nondeg, deg_order = "yes", None
     elif disc == 0:
         nondeg, deg_order = "no", 1  # a repeated root has ratio 1
     else:
-        nondeg, deg_order = nondegeneracy(poly)
-    sd, witnesses = sd_certificate(poly, prime_budget)
+        nondeg, deg_order = _least_ratio_order(poly)
+    sd, witnesses = _sd_search(poly, disc, irr, prime_budget)
     return PolyProfile(
         poly=tuple(poly),
         discriminant=disc,

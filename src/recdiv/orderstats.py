@@ -10,15 +10,22 @@ rows of x - a: the share of rows with index 1.
 p = 2 is skipped everywhere here: its unit group is trivial, so a row at 2
 carries no order information, and skipping it keeps the base-a fraction and
 the histogram of x - a in exact agreement.
+
+A run over all primes up to a limit takes each factorization of p - 1 from
+arith.odd_prime_totients, which reads them off one table of smallest prime
+factors, and counts the histogram in one pass over the rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .arith import factor_integer, mult_order, sieve_primes
-from .charpoly import _ipoly, discriminant
+from .arith import factor_integer, mult_order, odd_prime_totients, sieve_primes
+from .charpoly import _disc, _ipoly
 from .detect import Excluded, build_context
 from .fppoly import fp_root
 from .recurrence import RecurrenceSpec
@@ -26,7 +33,7 @@ from .recurrence import RecurrenceSpec
 MIN_LIMIT = 100  # the smallest prime bound index_histogram accepts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderRow:
     """Order data at one prime: the chosen root, its order, and the index."""
 
@@ -66,10 +73,11 @@ class NoQualifyingPrimes(ValueError):
 def _histogram(rows: list[OrderRow], c_grid) -> list[tuple[int, Fraction]]:
     if not rows:
         raise NoQualifyingPrimes("no qualifying primes")
+    counts = Counter(r.index for r in rows)
+    indices = sorted(counts)
+    at_most = [0, *accumulate(counts[i] for i in indices)]  # [k]: index <= indices[k - 1]
     total = len(rows)
-    return [
-        (c, Fraction(sum(1 for r in rows if r.index <= c), total)) for c in c_grid
-    ]
+    return [(c, Fraction(at_most[bisect_right(indices, c)], total)) for c in c_grid]
 
 
 def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
@@ -78,12 +86,12 @@ def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
     if len(poly) < 2:
         raise ValueError("need a nonconstant polynomial")
     lead = poly[-1]
-    disc = discriminant(poly) if len(poly) > 2 else 1
+    disc = _disc(poly)
     rows = []
-    for p in sieve_primes(limit):
-        if p == 2 or lead % p == 0 or disc % p == 0:
+    for p, totient in odd_prime_totients(limit):
+        if lead % p == 0 or disc % p == 0:
             continue
-        row = root_order_row(poly, p)
+        row = root_order_row(poly, p, totient)
         if row is not None:
             rows.append(row)
     return rows

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .arith import sieve_primes
@@ -232,6 +231,9 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
     profile = analyze_poly(list(spec.char_poly()))
     primes = sieve_primes(config.limit)
     if config.workers > 1 and len(primes) >= 4 * config.workers:
+        # imported here: serial sweeps and the other commands never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         size = max(32, -(-len(primes) // (config.workers * 8)))
         blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
         rows = []

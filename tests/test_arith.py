@@ -11,6 +11,7 @@ from recdiv.arith import (
     factor_integer,
     is_prime,
     mult_order,
+    odd_prime_totients,
     sieve_primes,
 )
 
@@ -56,6 +57,12 @@ def test_is_prime_agrees_with_sieve_membership():
         assert is_prime(n) == (n in members), n
 
 
+def test_is_prime_matches_trial_division_to_30k():
+    # crosses the lookup bound _TRIAL_BOUND = 10**4 into Miller-Rabin
+    for n in range(-2, 3 * 10**4 + 1):
+        assert is_prime(n) == _trial_is_prime(n), n
+
+
 def test_is_prime_large_known_values():
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime((2**31 - 1) * (2**19 - 1))
@@ -96,6 +103,21 @@ def test_factor_hard_semiprime():
     p, q = 2147483647, 2147483629
     f = factor_integer(p * q)
     assert f.as_dict() == {q: 1, p: 1}
+
+
+def test_odd_prime_totients_match_factor_integer_to_2e5():
+    odd_primes = sieve_primes(2 * 10**5)[1:]
+    got = list(odd_prime_totients(2 * 10**5))
+    assert got == [(p, factor_integer(p - 1)) for p in odd_primes]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 7, 9, 25, 49, 961, 65519, 65521])
+def test_odd_prime_totients_edge_limits(limit):
+    # squares of odd primes at the edge of the sieve; prime limits p = 3 mod 4,
+    # whose odd part (p - 1) / 2 is the last entry of the table
+    odd_primes = sieve_primes(limit)[1:]
+    got = list(odd_prime_totients(limit))
+    assert got == [(p, factor_integer(p - 1)) for p in odd_primes]
 
 
 def test_mult_order_examples():

@@ -1,7 +1,8 @@
-"""Golden output digests: sweep CSV, JSON and stdout, and analyze stdout.
+"""Golden output digests: sweep CSV, JSON and stdout, analyze and order-stats stdout.
 
-Each case runs `recdiv sweep --limit 3000` at one worker and `recdiv analyze`
-in process and compares the sha256 of every output with a recorded digest.
+Each spec runs `recdiv sweep --limit 3000` at one worker and `recdiv analyze`
+in process, and each order-stats case runs `recdiv order-stats` in process;
+the sha256 of every output is compared with a recorded digest.
 A change that is meant to keep every output byte passes this test unchanged;
 a change that alters an output on purpose re-records the digests with
 `PYTHONPATH=src python tests/test_golden.py` and says so in CHANGES.md.
@@ -24,6 +25,23 @@ SPECS = {
     "x5-x-1": ("1,0,0,0,-1,-1", "1,2,3,4,5"),
     "x3-2": ("1,0,0,-2", "1,2,3"),
     "x4+1": ("1,0,0,0,1", "1,2,3,4"),  # degenerate: ratio -1 between roots
+}
+
+# name: order-stats arguments. The last grid is unsorted with a repeat, and
+# the command appends one more C = 1 for the primitive-root fraction.
+ORDER_STATS = {
+    "base2": ("--base", "2", "--limit", "200000"),
+    "base-3": ("--base", "-3", "--limit", "100000"),
+    "tribonacci": ("--poly", "1,-1,-1,-1", "--limit", "100000"),
+    "base2-grid": ("--base", "2", "--limit", "5000", "--c-grid", "16,1,4,1"),
+}
+
+# name: sha256 of the order-stats stdout
+ORDER_STATS_DIGESTS = {
+    'base2': 'a8360fcd5f313d363ca3c5180b4fc1eab8d211d8b8817e1b7b8e0398bc1c8bd5',
+    'base-3': 'b95531aff7133ddfc8bcb6224a44e4696ec2e581625b9648ba3bea63c41a95bc',
+    'tribonacci': 'ad6ca1c04f33d92f711cb8f7ce0384ea08450b14f7e4fd6e355b984b8613ff40',
+    'base2-grid': '8e95e6cdb797a7060008caef19a015b38b867b4b20912b55bc3cc21fb7fffc6f',
 }
 
 # name: {output: sha256}
@@ -99,8 +117,20 @@ def test_golden_outputs(name, tmp_path, monkeypatch, capsys):
     assert got == DIGESTS[name]
 
 
+def _order_stats_digest(name, capture) -> str:
+    assert cli(["order-stats", *ORDER_STATS[name]]) == 0
+    return _sha(capture().encode())
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_STATS))
+def test_golden_order_stats(name, capsys):
+    got = _order_stats_digest(name, lambda: capsys.readouterr().out)
+    assert got == ORDER_STATS_DIGESTS[name]
+
+
 if __name__ == "__main__":
-    # print the digests of the current code, for pasting into DIGESTS
+    # print the digests of the current code, for pasting into DIGESTS and
+    # ORDER_STATS_DIGESTS
     import contextlib
     import io
     import os
@@ -124,3 +154,9 @@ if __name__ == "__main__":
         for key, digest in got.items():
             print(f"        {key!r}: {digest!r},")
         print("    },")
+    print()
+    for name in ORDER_STATS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            got = _order_stats_digest(name, buf.getvalue)
+        print(f"    {name!r}: {got!r},")

@@ -43,6 +43,15 @@ def test_histogram_monotone_and_exhaustive():
     assert fracs[-1] == 1
 
 
+def test_histogram_matches_direct_count_on_any_grid():
+    rows = collect_order_rows(TRIB_POLY, 5000)
+    max_index = max(r.index for r in rows)
+    grids = ([16, 1, 4, 1], [0, max_index, 3, 3, 2], [max_index + 5, 7, 1, 1], [])
+    for grid in grids:
+        direct = [(c, Fraction(sum(r.index <= c for r in rows), len(rows))) for c in grid]
+        assert index_histogram(TRIB_POLY, 5000, grid) == direct, grid
+
+
 def test_histogram_requires_rows():
     with pytest.raises(ValueError, match="limit"):
         index_histogram(TRIB_POLY, 50, [1])
