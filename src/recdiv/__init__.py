@@ -20,19 +20,7 @@ from .detect import (
     detect,
     structural_detect,
 )
-from .fppoly import (
-    ExtElem,
-    ExtField,
-    FactorPattern,
-    FpPoly,
-    ext_norm,
-    factor_mod_p,
-    fp_root,
-    frobenius,
-    pattern,
-    reduce_poly,
-    solve_gamma,
-)
+from .fppoly import FactorPattern, fp_root, pattern
 from .orderstats import OrderRow, artin_fraction, index_histogram, root_order_row
 from .recurrence import (
     RecurrenceSpec,

@@ -103,9 +103,6 @@ class FactoredInteger:
     def prime_divisors(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.factors)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:

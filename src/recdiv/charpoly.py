@@ -6,8 +6,10 @@ degeneracy (a ratio of two roots being a root of unity) is decided by the
 discriminants of the polynomials whose roots are the m-th powers of the
 roots, built from power sums with Newton's identities. Irreducibility and
 symmetric-group certificates come from factorization patterns sampled at
-squarefree primes. The pattern-based checks are sound but incomplete, so
-they answer yes / no / unknown."""
+squarefree primes, in one walk inside `analyze_poly` that takes each
+pattern once; `is_irreducible_over_Q` and `sd_certificate` read its
+profile. The pattern-based checks are sound but incomplete, so they answer
+yes / no / unknown."""
 
 from __future__ import annotations
 
@@ -200,93 +202,16 @@ def _squarefree_primes(disc: int, budget: int) -> list[int]:
     return usable[:budget]
 
 
-def _monic(coeffs) -> list[int]:
-    poly = _ipoly(coeffs)
-    if len(poly) < 2:
-        raise ValueError("need degree >= 1")
-    if poly[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    return poly
-
-
-def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | None]:
-    """Sound, incomplete irreducibility test for a monic integer polynomial.
-
-    "no" comes with a rational root witness when one exists; "yes" either
-    from an irreducible pattern at some prime or from degree-sum analysis
-    across sampled squarefree primes; otherwise "unknown".
-    """
-    poly = _monic(coeffs)
-    return _irreducibility(poly, _disc(poly), prime_budget)
-
-
-def _irreducibility(poly: list[int], disc: int, prime_budget: int) -> tuple[str, int | None]:
-    """is_irreducible_over_Q for a trimmed monic polynomial with discriminant disc."""
-    d = len(poly) - 1
-    if d == 1:
-        return ("yes", None)
+def _rational_root(poly: list[int]) -> int | None:
+    """An integer root of a monic integer polynomial of degree >= 2, or None;
+    a constant term of 2^48 or more is only tested at 1 and -1."""
     if poly[0] == 0:
-        return ("no", 0)
+        return 0
     if abs(poly[0]) < 2**48:
-        for dv in all_divisors(factor_integer(abs(poly[0]))):
-            for r in (dv, -dv):
-                if _ip_eval(poly, r) == 0:
-                    return ("no", r)
+        candidates = [r for dv in all_divisors(factor_integer(abs(poly[0]))) for r in (dv, -dv)]
     else:
-        for r in (1, -1):
-            if _ip_eval(poly, r) == 0:
-                return ("no", r)
-    if disc == 0:
-        # shares a factor with its derivative, hence a proper factor over Q
-        return ("no", None)
-    feasible = set(range(1, d))
-    for p in _squarefree_primes(disc, prime_budget):
-        pat = pattern(poly, p)
-        if pat.degrees == (d,):
-            return ("yes", p)
-        feasible &= _subset_sums(pat.degrees, d - 1)
-        if not feasible:
-            return ("yes", p)
-    return ("unknown", None)
-
-
-def sd_certificate(coeffs, prime_budget: int = 200) -> tuple[str, dict[str, int]]:
-    """Certify the Galois group is the full symmetric group, via witnesses.
-
-    Searches squarefree primes for a transposition pattern (one quadratic
-    factor, the rest distinct linears) and a (d-1)-cycle pattern {1, d-1}.
-    A transitive group containing both is the full symmetric group. Returns
-    ("certified" | "unknown", {pattern: witness prime}); the {1, d-1}
-    witness is recorded even when certification fails.
-    """
-    poly = _monic(coeffs)
-    disc = _disc(poly)
-    irreducible, _ = _irreducibility(poly, disc, prime_budget)
-    return _sd_search(poly, disc, irreducible, prime_budget)
-
-
-def _sd_search(
-    poly: list[int], disc: int, irreducible: str, prime_budget: int
-) -> tuple[str, dict[str, int]]:
-    """sd_certificate, given the discriminant and the irreducibility verdict."""
-    if irreducible != "yes":
-        return ("unknown", {})
-    d = len(poly) - 1
-    if d <= 2:
-        return ("certified", {})
-    transposition = tuple([2] + [1] * (d - 2))
-    long_cycle = (d - 1, 1)
-    wanted = {transposition, long_cycle, (d,)}
-    transposition_key = "-".join(map(str, transposition))
-    long_cycle_key = "-".join(map(str, long_cycle))
-    witnesses: dict[str, int] = {}
-    for p in _squarefree_primes(disc, prime_budget):
-        pat = pattern(poly, p)
-        if pat.degrees in wanted and pat.key not in witnesses:
-            witnesses[pat.key] = p
-        if transposition_key in witnesses and long_cycle_key in witnesses:
-            return ("certified", witnesses)
-    return ("unknown", witnesses)
+        candidates = [1, -1]
+    return next((r for r in candidates if _ip_eval(poly, r) == 0), None)
 
 
 def expected_pattern_density(d: int, parts) -> Fraction:
@@ -329,20 +254,59 @@ class PolyProfile:
 
 
 def analyze_poly(coeffs, prime_budget: int = 200) -> PolyProfile:
-    """Full hypothesis profile: discriminant, irreducibility, degeneracy, S_d."""
+    """Full hypothesis profile: discriminant, irreducibility, degeneracy, S_d.
+
+    Irreducibility is "no" with a rational root witness when one exists, and
+    "yes" from an irreducible pattern at some prime or from degree-sum
+    analysis across sampled squarefree primes; otherwise "unknown". The S_d
+    search looks for a transposition pattern (one quadratic factor, the rest
+    distinct linears) and a (d-1)-cycle pattern {1, d-1}: a transitive group
+    containing both is the full symmetric group. Witness primes stop being
+    recorded at certification; they are kept when certification fails, and
+    dropped unless the polynomial is proved irreducible. One walk over the
+    sampled primes serves both searches, taking each pattern once.
+    """
     poly = _ipoly(coeffs)
     d = len(poly) - 1
     if d < 1 or poly[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
     disc = _disc(poly)
-    irr, irr_witness = _irreducibility(poly, disc, prime_budget)
     if d < 2:
         nondeg, deg_order = "yes", None
     elif disc == 0:
         nondeg, deg_order = "no", 1  # a repeated root has ratio 1
     else:
         nondeg, deg_order = _least_ratio_order(poly)
-    sd, witnesses = _sd_search(poly, disc, irr, prime_budget)
+    witnesses: dict[str, int] = {}
+    certified = d <= 2  # no witness needed
+    if d == 1:
+        irr, irr_witness = "yes", None
+    elif (root := _rational_root(poly)) is not None:
+        irr, irr_witness = "no", root
+    elif disc == 0:
+        # shares a factor with its derivative, hence a proper factor over Q
+        irr, irr_witness = "no", None
+    else:
+        transposition = tuple([2] + [1] * (d - 2))
+        wanted = {transposition, (d - 1, 1), (d,)}
+        keys = {"-".join(map(str, transposition)), f"{d - 1}-1"}
+        feasible = set(range(1, d))
+        irr, irr_witness = "unknown", None
+        for p in _squarefree_primes(disc, prime_budget):
+            pat = pattern(poly, p)
+            if not certified:
+                if pat.degrees in wanted:
+                    witnesses.setdefault(pat.key, p)
+                certified = keys <= witnesses.keys()
+            if irr == "unknown":
+                feasible &= _subset_sums(pat.degrees, d - 1)
+                if pat.degrees == (d,) or not feasible:
+                    irr, irr_witness = "yes", p
+            if irr == "yes" and certified:
+                break
+    if irr != "yes":
+        witnesses = {}
+    sd = "certified" if irr == "yes" and certified else "unknown"
     return PolyProfile(
         poly=tuple(poly),
         discriminant=disc,
@@ -353,3 +317,18 @@ def analyze_poly(coeffs, prime_budget: int = 200) -> PolyProfile:
         sd_certified=sd,
         witness_primes=witnesses,
     )
+
+
+def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | None]:
+    """Sound, incomplete irreducibility test for a monic integer polynomial,
+    read off analyze_poly: ("yes" | "no" | "unknown", witness)."""
+    profile = analyze_poly(coeffs, prime_budget)
+    return profile.irreducible, profile.irreducible_witness
+
+
+def sd_certificate(coeffs, prime_budget: int = 200) -> tuple[str, dict[str, int]]:
+    """Certify the Galois group is the full symmetric group, via witnesses,
+    read off analyze_poly: ("certified" | "unknown", {pattern: witness prime}).
+    """
+    profile = analyze_poly(coeffs, prime_budget)
+    return profile.sd_certified, profile.witness_primes

@@ -75,7 +75,7 @@ class Verdict:
     """Per-prime outcome with witness and method provenance."""
 
     kind: str  # "divisor" | "nondivisor" | "excluded" | "indeterminate"
-    method: str = "none"  # "structural" | "brute" | "both" | "none"
+    method: str = "none"  # "structural" | "brute" | "none"
     witness: int | None = None
     reason: str | None = None
     detail: str | None = None
@@ -100,10 +100,10 @@ DEFAULT_POLICY = DetectPolicy()
 
 
 def _verified_divisor(
-    spec: RecurrenceSpec, p: int, witness: int | None, method: str, detail: str | None = None
+    spec: RecurrenceSpec, p: int, witness: int, method: str, detail: str | None = None
 ) -> Verdict:
-    if witness is not None and term_mod(spec, witness, p) != 0:
-        raise RuntimeError(f"witness {witness} does not vanish mod {p}")
+    if term_mod(spec, witness, p) != 0:
+        raise RuntimeError(f"witness a_{witness} of {spec.fingerprint()} does not vanish mod p={p}")
     return Verdict("divisor", method=method, witness=witness, detail=detail)
 
 

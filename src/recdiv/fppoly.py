@@ -21,7 +21,7 @@ x^n in `recurrence.term_mod`, x^512, the block step, in the packed zero
 scan, and x^((p^e - 1)/q), the order of x mod a distinct-degree block, in
 `recurrence.period_mod`. Those powers are most of the per-prime F_p[x] work of a sweep, so
 the square-and-multiply is generated once per degree d, the way
-`recurrence._unrolled` generates the zero-scan walker: the coefficients
+`recurrence._stream` generates the term stream mod p: the coefficients
 sit in d locals, the reductions of x^d..x^(2d-2) mod f are computed at
 entry, and multiplying by x is a shift plus one reduction. For d = 3, 4,
 5, x^p mod f took 15, 27, 38 us at p = 9973 and 30, 53, 78 us at

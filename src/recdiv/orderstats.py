@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .arith import factor_integer, mult_order, odd_prime_totients, sieve_primes
-from .charpoly import _disc, _ipoly
+from .arith import mult_order, odd_prime_totients, sieve_primes
+from .charpoly import discriminant
 from .detect import Excluded, build_context
 from .fppoly import fp_root
 from .recurrence import RecurrenceSpec
@@ -62,7 +62,7 @@ def root_order_row(coeffs, p: int, totient=None) -> OrderRow | None:
     root = fp_root(coeffs, p)
     if root is None or root == 0:
         return None
-    order = mult_order(root, p, totient or factor_integer(p - 1))
+    order = mult_order(root, p, totient)
     return OrderRow(p, root, order, (p - 1) // order)
 
 
@@ -82,11 +82,13 @@ def _histogram(rows: list[OrderRow], c_grid) -> list[tuple[int, Fraction]]:
 
 def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
     """Order rows over all qualifying primes up to limit."""
-    poly = _ipoly(coeffs)
+    poly = [int(c) for c in coeffs]
+    while poly and not poly[-1]:
+        poly.pop()  # zero leading coefficients
     if len(poly) < 2:
         raise ValueError("need a nonconstant polynomial")
     lead = poly[-1]
-    disc = _disc(poly)
+    disc = discriminant(poly) if len(poly) > 2 else 1
     rows = []
     for p, totient in odd_prime_totients(limit):
         if lead % p == 0 or disc % p == 0:

@@ -8,7 +8,7 @@ means p divides a_n for some n >= 0.
 Modular terms use binary powering of x mod the characteristic polynomial,
 which is the companion-matrix action written in the quotient algebra. The
 powering is `fppoly._x_pow_mod`, generated once per order for the same
-reason as the walker below: every divisor witness is re-verified with
+reason as the term stream below: every divisor witness is re-verified with
 `term_mod`, and x^n mod a cubic took about 15 us at n near 1e4 against
 163 us for the generic list arithmetic (CPython 3.11.7, 2-core VM).
 Brute-force period and zero scans walk the state orbit directly; the orbit
@@ -17,26 +17,29 @@ period needs no extension field either: it is the lcm of the orders of x
 modulo the distinct-degree blocks of the characteristic polynomial, each
 found by stripping primes of p^e - 1 with the same x^e mod f kernel.
 
-The zero scan decides every prime the structural detector does not, and a
-scan may take a whole period, up to p^d - 1 steps, so it runs in two
-stages. The first BLOCK = 512 terms go through one generated walker per
-order: its source is written out for d state and d multiplier locals and
-compiled once. A generic step that rebuilds the state list and sums a
-generator took about 1.8 us at order 4, against 0.15-0.3 us unrolled. A
-scan that gets past them tests BLOCK terms per step in `_block_scan`:
-every term of a block is a fixed combination of d packed windows of the
-first terms, weighted by the coefficients of x^n mod f, and an exact
-divisibility test by multiplication with p^-1 mod 2^w marks the zeros in
-all lanes at once. For Tribonacci that costs about 0.2 ms per scan to set
-up and then 0.04-0.05 us per term at p from 3e4 to 3e6, against 0.15-0.19
-us per walker step, so short scans stay on the walker (CPython 3.11.7,
-2-core VM).
+Every scan of a_n mod p steps one generator per order, `term_stream`: its
+source is written out for d state and d multiplier locals and compiled
+once. A generic step that rebuilds the state list and sums a generator took
+about 0.9-1.5 us at orders 3 and 4, against 0.17-0.33 us unrolled. The
+structural scan reads it term by term. The zero scan decides every prime the structural detector
+does not, and a scan may take a whole period, up to p^d - 1 steps, so it
+takes the first BLOCK = 512 terms (plus 2d - 1) from the stream as one
+list, reads the least zero and the first return of the initial state off
+it, and hands a longer scan to `_block_scan` with the same list. That tests
+BLOCK terms per step: every term of a block is a fixed combination of d
+packed windows of the first terms, weighted by the coefficients of x^n mod
+f, and an exact divisibility test by multiplication with p^-1 mod 2^w marks
+the zeros in all lanes at once. For Tribonacci that costs 0.04-0.05 us per
+term at p from 3e4 to 3e6, against 0.15-0.19 us per step of the stream
+(CPython 3.11.7, 2-core VM).
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 
 from .arith import factor_integer
@@ -125,12 +128,38 @@ def _mod_recurrence(spec: RecurrenceSpec, p: int) -> tuple[list[int], list[int]]
     return ks, state
 
 
+# The terms a_0, a_1, ... mod p for order d, as source: the multipliers sit
+# in k0..k{d-1} and the state in s0..s{d-1}, so a step is one tuple shift.
+# Only names built from the integer d are substituted.
+_STREAM_TEMPLATE = """
+def stream(ks, state, p):
+    {ks} = ks
+    {ss} = state
+    while True:
+        yield s0
+        {ss} = {shift}
+"""
+
+
+@lru_cache(maxsize=None)
+def _stream(d: int):
+    """The generator function of term_stream, unrolled for order d."""
+    ks, ss = ([f"{v}{i}" for i in range(d)] for v in "ks")
+    step = " + ".join(f"{k} * {s}" for k, s in zip(ks, ss))
+    src = _STREAM_TEMPLATE.format(
+        ks=", ".join(ks) + ",",
+        ss=", ".join(ss) + ",",
+        shift=", ".join(ss[1:] + [f"({step}) % p"]) + ",",
+    )
+    namespace = {}
+    exec(src, namespace)  # noqa: S102 - src depends on d alone
+    return namespace["stream"]
+
+
 def term_stream(spec: RecurrenceSpec, p: int):
     """Yields a_0, a_1, ... mod p indefinitely."""
-    ks, window = _mod_recurrence(spec, p)
-    while True:
-        yield window[0]
-        window = window[1:] + [sum(k * v for k, v in zip(ks, window)) % p]
+    ks, state = _mod_recurrence(spec, p)
+    return _stream(spec.order)(ks, state, p)
 
 
 def _walk_period(spec: RecurrenceSpec, p: int) -> int:
@@ -194,67 +223,14 @@ class BruteResult:
     steps: int = 0
 
 
-# The zero scan for order d, as source: walk names the state s0..s{d-1},
-# the multipliers k0..k{d-1} and the initial state t0..t{d-1}, so a step is
-# one tuple shift and the period test compares locals; terms lists the
-# first terms with the same step, for the block scan's windows. Only names built
-# from the integer d are substituted.
-_WALKER_TEMPLATE = """
-def walk(ks, state, p, cap):
-    {ks} = ks
-    {ss} = state
-    {ts} = state
-    for n in range(cap):
-        if not s0:
-            return BruteResult("divisor", witness=n, steps=n + 1)
-        {ss} = {shift}
-        if {same}:
-            return BruteResult("nondivisor", period=n + 1, steps=n + 1)
-    return BruteResult("capped", steps=cap)
-
-
-def terms(ks, state, p, count):
-    {ks} = ks
-    {ss} = state
-    out = []
-    push = out.append
-    for _ in range(count):
-        push(s0)
-        {ss} = {shift}
-    return out
-"""
-
-
-@lru_cache(maxsize=None)
-def _unrolled(d: int) -> dict:
-    """walk and terms unrolled for order d (see _WALKER_TEMPLATE)."""
-    ks, ss, ts = ([f"{v}{i}" for i in range(d)] for v in "kst")
-    step = " + ".join(f"{k} * {s}" for k, s in zip(ks, ss))
-    src = _WALKER_TEMPLATE.format(
-        ks=", ".join(ks) + ",",
-        ss=", ".join(ss) + ",",
-        ts=", ".join(ts) + ",",
-        shift=", ".join(ss[1:] + [f"({step}) % p"]) + ",",
-        same=" and ".join(f"{s} == {t}" for s, t in zip(ss, ts)),
-    )
-    namespace = {"BruteResult": BruteResult}
-    exec(src, namespace)  # noqa: S102 - src depends on d alone
-    return namespace
-
-
-def _walker(d: int):
-    """The zero scan for order d, one term per step."""
-    return _unrolled(d)["walk"]
-
-
 # Terms the packed zero scan tests per big-integer step (see _block_scan).
 BLOCK = 512
 
 
-def _block_scan(ks: list[int], s0: list[int], p: int, cap: int) -> BruteResult:
+def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult:
     """The zero scan for n = BLOCK..cap-1, one block of BLOCK terms per step.
 
-    With u the coefficients of x^n mod f, a_{n+i} = sum_c u_c a_{c+i}, an
+    head holds a_0..a_{BLOCK+2d-2} mod p. With u the coefficients of x^n mod f, a_{n+i} = sum_c u_c a_{c+i}, an
     integer x_i <= d (p-1)^2 < 2^(w-1). Lane i of the packed window A_c holds
     a_{c+i} p^-1 mod 2^w, so the low w bits of lane i of sum_c u_c A_c are
     x_i p^-1 mod 2^w, which is at most floor((2^w-1)/p) exactly when p | x_i
@@ -262,9 +238,13 @@ def _block_scan(ks: list[int], s0: list[int], p: int, cap: int) -> BruteResult:
     sec. 9). Lanes are wide enough that the sum never carries into the next.
     The block at n tests a_{n+i} = 0 in lanes 0..BLOCK-1, and state_{n+i} =
     state_0 in lanes 1..BLOCK: each lane with a_{n+i} = a_0 is checked
-    against the d-1 lanes after it. p must be odd.
+    against the d-1 lanes after it. An even p raises: p^-1 mod 2^w would
+    not exist.
     """
+    if p % 2 == 0:
+        raise ValueError(f"the packed zero scan needs an odd modulus, got {p}")
     d = len(ks)
+    s0 = head[:d]
     lanes = BLOCK + d
     w = (d * (p - 1) ** 2).bit_length() + 1
     width = -(-(w + (d * p).bit_length() + 1) // 8)  # bytes per lane
@@ -272,10 +252,9 @@ def _block_scan(ks: list[int], s0: list[int], p: int, cap: int) -> BruteResult:
     mask = (1 << w) - 1
     bound = mask // p
     inv = pow(p, -1, 1 << w)
-    terms = _unrolled(d)["terms"](ks, s0, p, lanes + d - 1)
     ones = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")  # 1 in each lane
     low = mask * ones
-    packed = int.from_bytes(b"".join([t.to_bytes(width, "little") for t in terms]), "little")
+    packed = int.from_bytes(b"".join([t.to_bytes(width, "little") for t in head]), "little")
     packed = packed * inv & mask * (ones << (d - 1) * shift | ones)
     windows = [packed >> c * shift & low for c in range(d)]
     above = (mask - bound) * ones  # a lane plus this reaches bit w iff it exceeds bound
@@ -315,19 +294,30 @@ def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
 
     Divisor carries the least witness index; NonDivisor is only reported
     after a full period was scanned, so an uncapped run is a complete
-    decision procedure. The first BLOCK terms go through the walker, the
-    rest through _block_scan; p = 2 (or any even modulus) stays on the walker.
+    decision procedure. The first terms come off term_stream once: the least
+    zero and the first return of the initial state among the first BLOCK
+    terms are read off that list, and a longer scan hands it to _block_scan.
+    p = 2 never reaches _block_scan below order BLOCK: with no zero every
+    term is 1, so the initial state returns after one step.
     """
     if spec.coeffs[0] % p == 0:
         raise ValueError("not purely periodic")
+    d = spec.order
     ks, s0 = _mod_recurrence(spec, p)
-    walk = _walker(spec.order)
-    if p % 2 == 0:
-        return walk(ks, s0, p, cap)
-    head = walk(ks, s0, p, min(cap, BLOCK))
-    if head.kind != "capped" or cap <= BLOCK:
-        return head
-    return _block_scan(ks, s0, p, cap)
+    lim = min(cap, BLOCK)
+    head = list(islice(_stream(d)(ks, s0, p), lim + 2 * d - 1))
+    if 0 in head[:lim]:  # the least zero lies before the first return
+        zero = head.index(0)
+        return BruteResult("divisor", witness=zero, steps=zero + 1)
+    n = 0
+    with suppress(ValueError):  # index raises once no return is left below lim + 1
+        while True:
+            n = head.index(s0[0], n + 1, lim + 1)
+            if head[n : n + d] == s0:
+                return BruteResult("nondivisor", period=n, steps=n)
+    if cap <= BLOCK:
+        return BruteResult("capped", steps=cap)
+    return _block_scan(ks, head, p, cap)
 
 
 def zero_term_scan(spec: RecurrenceSpec, bound: int) -> list[int]:

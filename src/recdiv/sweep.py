@@ -109,9 +109,9 @@ _COUNT_KEYS = ("total", "divisor", "nondivisor", "indeterminate")
 class SweepSummary:
     """Aggregated counts per pattern plus exclusions; densities are derived.
 
-    Merging is commutative and associative with the empty summary as the
-    identity; merges require matching spec fingerprints and disjoint prime
-    ranges.
+    Merging is commutative and associative with the empty summary,
+    SweepSummary(fingerprint), as the identity; merges require matching
+    spec fingerprints and disjoint prime ranges.
     """
 
     fingerprint: str
@@ -120,10 +120,6 @@ class SweepSummary:
     p_min: int | None = None
     p_max: int | None = None
     meta: dict | None = None
-
-    @classmethod
-    def empty(cls, fingerprint: str) -> "SweepSummary":
-        return cls(fingerprint)
 
     def add_row(self, row: PrimeRow) -> None:
         self.p_min = row.p if self.p_min is None else min(self.p_min, row.p)
@@ -218,7 +214,7 @@ class SweepSummary:
 
 def summarize_rows(fingerprint: str, rows: list[PrimeRow]) -> SweepSummary:
     """Fold rows into a summary; run_sweep's summary equals this fold."""
-    summary = SweepSummary.empty(fingerprint)
+    summary = SweepSummary(fingerprint)
     for row in rows:
         summary.add_row(row)
     return summary

@@ -69,10 +69,10 @@ def test_is_prime_large_known_values():
 
 
 def test_factor_examples():
-    assert factor_integer(12).as_dict() == {2: 2, 3: 1}
+    assert factor_integer(12).factors == ((2, 2), (3, 1))
     assert factor_integer(1).factors == ()
     assert 101**2 - 1 == 10200
-    assert factor_integer(10200).as_dict() == {2: 3, 3: 1, 5: 2, 17: 1}
+    assert factor_integer(10200).factors == ((2, 3), (3, 1), (5, 2), (17, 1))
 
 
 def test_factor_rejects_out_of_range():
@@ -102,7 +102,7 @@ def test_factor_roundtrip_bulk():
 def test_factor_hard_semiprime():
     p, q = 2147483647, 2147483629
     f = factor_integer(p * q)
-    assert f.as_dict() == {q: 1, p: 1}
+    assert f.factors == ((q, 1), (p, 1))
 
 
 def test_odd_prime_totients_match_factor_integer_to_2e5():

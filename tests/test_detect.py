@@ -12,6 +12,7 @@ from recdiv.detect import (
     detect_full,
     structural_detect,
 )
+from recdiv.detect import _verified_divisor
 from recdiv.fppoly import ExtField, ext_norm, factor_mod_p, frobenius, reduce_poly, solve_gamma
 from recdiv.recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 
@@ -262,6 +263,13 @@ def test_every_divisor_verdict_carries_verified_witness(tribonacci):
             if v.kind == "divisor":
                 assert v.witness is not None
                 assert term_mod(spec, v.witness, p) == 0
+
+
+def test_wrong_divisor_witness_raises_naming_p_and_sequence(tribonacci):
+    # a_3 = 3 vanishes mod 3 but not mod 7, so 3 is no witness at p = 7
+    assert _verified_divisor(tribonacci, 3, 3, "brute").witness == 3
+    with pytest.raises(RuntimeError, match=r"a_3 of c=-1,-1,-1;a=1,1,1 .* mod p=7"):
+        _verified_divisor(tribonacci, 7, 3, "brute")
 
 
 def test_cross_validate_empty_on_small_ranges(tribonacci):

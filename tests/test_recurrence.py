@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from recdiv.recurrence import (
     term_stream,
     zero_term_scan,
 )
-from recdiv.recurrence import _mod_recurrence, _walker
+from recdiv.recurrence import _block_scan
 
 
 def test_spec_validation():
@@ -239,7 +240,7 @@ def test_zero_term_scan_examples(tribonacci):
 
 
 def _reference_zero_scan(spec, p, cap):
-    """The zero scan written as a plain list walk: the oracle for the walker."""
+    """The zero scan written as a plain list walk: the oracle for has_zero_bruteforce."""
     ks = [(-c) % p for c in spec.coeffs]
     start = [v % p for v in spec.init]
     state = list(start)
@@ -281,6 +282,36 @@ def test_bruteforce_walker_matches_reference_scan():
     assert cases > 5000
 
 
+def test_p2_settles_within_d_plus_1_terms():
+    # mod 2 with c_0 odd: no zero means every term is 1, so the state returns at once
+    cases = 0
+    for d in range(1, 13):
+        for spec in _oracle_specs(d):
+            if spec.coeffs[0] % 2 == 0:
+                continue
+            for cap in [*range(d + 3), 10**6]:
+                got = has_zero_bruteforce(spec, 2, cap)
+                assert got == _reference_zero_scan(spec, 2, cap), (spec.fingerprint(), cap)
+                assert got.steps <= d + 1, (spec.fingerprint(), cap)
+                cases += 1
+    assert cases > 300
+
+
+def test_block_scan_rejects_even_modulus():
+    with pytest.raises(ValueError, match="odd modulus, got 2"):
+        _block_scan([1], [1] * (BLOCK + 1), 2, 10**6)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_term_stream_matches_term_iter(d):
+    # oracle: the exact integer terms, reduced mod p
+    for spec in _oracle_specs(d):
+        for p in (2, 3, 7, 101, 9973):
+            exact = (v % p for v in term_iter(spec))
+            assert list(islice(term_stream(spec, p), 300)) == list(islice(exact, 300)), (
+                spec.fingerprint(), p)
+
+
 def _roots_power_sums(p, roots):
     """The recurrence whose terms are sum_r r^n mod p, from its roots."""
     poly = [1]
@@ -314,8 +345,7 @@ def test_block_scan_matches_reference_scan():
                     cases.append((spec, p))
     kinds = set()
     for spec, p in cases:
-        ks, s0 = _mod_recurrence(spec, p)
-        full = _walker(spec.order)(ks, s0, p, 60_000)
+        full = _reference_zero_scan(spec, p, 60_000)
         if full.kind == "capped":
             continue  # a long nondivisor period: too slow for the reference scan
         steps, end = full.steps, full.witness if full.kind == "divisor" else full.period
@@ -332,8 +362,7 @@ def test_block_scan_matches_reference_scan():
 @pytest.mark.parametrize("p", [999983, 1000003])
 def test_block_scan_matches_walker_near_1e6(p):
     for spec in (RecurrenceSpec((-1, -1, -1), (1, 1, 1)), RecurrenceSpec((-1,) * 4, (1,) * 4)):
-        ks, s0 = _mod_recurrence(spec, p)
-        want = _walker(spec.order)(ks, s0, p, 10**7)
+        want = _reference_zero_scan(spec, p, 10**7)
         assert want.kind == "divisor" and want.steps > 50 * BLOCK
         assert has_zero_bruteforce(spec, p, 10**7) == want
         assert has_zero_bruteforce(spec, p, want.steps) == want

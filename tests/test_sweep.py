@@ -136,7 +136,7 @@ def test_guard_rejects_oversized_limits(tribonacci):
 def test_merge_identity_commutativity_partition(tribonacci, small_sweep):
     rows, summary = small_sweep
     fp = tribonacci.fingerprint()
-    empty = SweepSummary.empty(fp)
+    empty = SweepSummary(fp)
     merged = summary.merged(empty)
     assert merged.to_json_dict()["patterns"] == summary.to_json_dict()["patterns"]
 
