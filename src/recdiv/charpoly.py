@@ -1,15 +1,19 @@
 """Hypothesis checks on characteristic polynomials.
 
-Exact integer arithmetic throughout: discriminants and resultants go
-through fraction-free Bareiss elimination on Sylvester matrices, and
-degeneracy (a ratio of two roots being a root of unity) is decided by the
-discriminants of the polynomials whose roots are the m-th powers of the
-roots, built from power sums with Newton's identities. Irreducibility and
-symmetric-group certificates come from factorization patterns sampled at
-squarefree primes, in one walk inside `analyze_poly` that takes each
-pattern once; `is_irreducible_over_Q` and `sd_certificate` read its
-profile. The pattern-based checks are sound but incomplete, so they answer
-yes / no / unknown."""
+Exact integer arithmetic throughout, with no Sylvester matrices: for a
+monic polynomial with roots r_1..r_d and power sums s_k, the Hankel matrix
+[s_(m(i+j))] for 0 <= i, j < d is V V^T with V the Vandermonde matrix of the
+r^m, so its determinant is the product of (r_i^m - r_j^m)^2 over i < j. At
+m = 1 that is the discriminant; it vanishes exactly when two m-th powers
+coincide, which decides degeneracy (a ratio of two roots being a root of
+unity). The power sums come from Newton's identities, and every determinant
+is fraction-free Bareiss elimination.
+
+Irreducibility and symmetric-group certificates come from factorization
+patterns sampled at squarefree primes, in one walk inside `analyze_poly`
+that takes each pattern once; `is_irreducible_over_Q` and `sd_certificate`
+read its profile. The pattern-based checks are sound but incomplete, so
+they answer yes / no / unknown."""
 
 from __future__ import annotations
 
@@ -36,12 +40,8 @@ def _ip_eval(a: list[int], x: int) -> int:
     return v
 
 
-def _ip_deriv(a: list[int]) -> list[int]:
-    return _trim([i * c for i, c in enumerate(a)][1:])
-
-
 # ---------------------------------------------------------------------------
-# fraction-free determinants and resultants
+# fraction-free determinants
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -65,43 +65,34 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _sylvester(f: list[int], g: list[int]) -> list[list[int]]:
-    """Sylvester matrix rows (coefficients highest degree first)."""
-    n, m = len(f) - 1, len(g) - 1
-    rows = [[0] * i + f[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    return rows + [[0] * j + g[::-1] + [0] * (n - 1 - j) for j in range(n)]
-
-
-def resultant_int(f, g) -> int:
-    """Resultant of two integer polynomials, exact."""
-    f, g = _ipoly(f), _ipoly(g)
-    if not f or not g:
-        return 0
-    if len(f) == 1:
-        return f[0] ** (len(g) - 1)
-    if len(g) == 1:
-        return g[0] ** (len(f) - 1)
-    return _bareiss_det(_sylvester(f, g))
-
-
 def _disc(poly: list[int]) -> int:
     """The discriminant of a trimmed polynomial, taken as 1 below degree 2."""
     return discriminant(poly) if len(poly) > 2 else 1
 
 
 def discriminant(coeffs) -> int:
-    """Exact discriminant via the resultant of P and P'."""
-    p = _ipoly(coeffs)
-    d = len(p) - 1
+    """Exact discriminant of P, of degree d and leading coefficient a.
+
+    The monic a^(d-1) P(x / a) has the roots of P times a, so its
+    discriminant, the Hankel determinant of its power sums, is
+    a^((d-1)(d-2)) times that of P.
+    """
+    poly = _ipoly(coeffs)
+    d = len(poly) - 1
     if d < 2:
         raise ValueError("discriminant needs degree >= 2")
-    res = resultant_int(p, _ip_deriv(p))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res // p[-1]
+    sums = _power_sums(_scaled_monic(poly), 2 * d - 2)
+    return _hankel_det(sums, d, 1) // poly[-1] ** ((d - 1) * (d - 2))
 
 
 # ---------------------------------------------------------------------------
-# non-degeneracy
+# power sums and non-degeneracy
+
+
+def _scaled_monic(poly: list[int]) -> list[int]:
+    """lead^(d-1) P(x / lead): monic, its roots are lead times P's roots."""
+    d, lead = len(poly) - 1, poly[-1]
+    return [c * lead ** (d - 1 - i) for i, c in enumerate(poly[:-1])] + [1]
 
 
 def _power_sums(monic: list[int], count: int) -> list[int]:
@@ -119,51 +110,41 @@ def _power_sums(monic: list[int], count: int) -> list[int]:
     return sums
 
 
-def _root_power_poly(sums: list[int], d: int, m: int) -> list[int]:
-    """The monic polynomial whose roots are the m-th powers of the roots.
-
-    Newton's identities again, run backwards from the power sums s_{km} of
-    the m-th powers to the coefficients; every division is exact.
-    """
-    out = [0] * d + [1]
-    for k in range(1, d + 1):
-        v = sums[k * m] + sum(out[d - i] * sums[(k - i) * m] for i in range(1, k))
-        out[d - k] = -v // k
-    return out
+def _hankel_det(sums: list[int], d: int, m: int) -> int:
+    """det[s_(m(i+j))] for 0 <= i, j < d: the product of (r_i^m - r_j^m)^2, i < j."""
+    return _bareiss_det([[sums[m * (i + j)] for j in range(d)] for i in range(d)])
 
 
 def nondegeneracy(coeffs) -> tuple[str, int | None]:
     """Whether no ratio of two distinct roots is a root of unity.
 
     Two distinct roots have a ratio of order dividing m exactly when their
-    m-th powers coincide, that is, when the polynomial of m-th powers of the
-    roots has discriminant 0. A ratio lies in a field of degree at most
-    d(d-1), so its order m has phi(m) <= d(d-1), and the least such m is the
-    least order of a ratio. Returns ("no", m) for that m, or ("yes", None).
-    The roots are first scaled by the leading coefficient, which keeps their
-    ratios and makes the polynomial monic. A root at 0 needs no care: its
-    powers are 0 and no other root's are. Requires squarefree input.
+    m-th powers coincide, that is, when the Hankel determinant
+    det[s_(m(i+j))] of the power sums vanishes. A ratio lies in a field of
+    degree at most d(d-1), so its order m has phi(m) <= d(d-1), and the
+    least such m is the least order of a ratio. Returns ("no", m) for that
+    m, or ("yes", None). The roots are first scaled by the leading
+    coefficient, which keeps their ratios and makes the polynomial monic. A
+    root at 0 needs no care: its powers are 0 and no other root's are.
+    Requires squarefree input.
     """
-    poly = _ipoly(coeffs)
-    if len(poly) < 3:
-        return ("yes", None)
-    if discriminant(poly) == 0:
+    verdict = _least_ratio_order(_ipoly(coeffs))
+    if verdict == ("no", 1):
         raise ValueError("repeated roots")
-    return _least_ratio_order(poly)
+    return verdict
 
 
 def _least_ratio_order(poly: list[int]) -> tuple[str, int | None]:
-    """nondegeneracy for a trimmed squarefree polynomial of degree >= 2."""
+    """nondegeneracy for a trimmed polynomial; ("no", 1) for a repeated root."""
     d = len(poly) - 1
-    lead = poly[-1]
-    # lead^(d-1) P(x / lead): its roots are lead times P's roots
-    monic = [c * lead ** (d - 1 - i) for i, c in enumerate(poly[:-1])] + [1]
+    if d < 2:
+        return ("yes", None)
     bound = d * (d - 1)
-    # m = 1 would compare the roots themselves, which are distinct
-    orders = [m for m in range(2, 2 * bound * bound + 1) if euler_phi(m) <= bound]
-    sums = _power_sums(monic, d * orders[-1])
+    # m = 1 compares the roots themselves, which coincide at a repeated root
+    orders = [1] + [m for m in range(2, 2 * bound * bound + 1) if euler_phi(m) <= bound]
+    sums = _power_sums(_scaled_monic(poly), (2 * d - 2) * orders[-1])
     for m in orders:
-        if discriminant(_root_power_poly(sums, d, m)) == 0:
+        if _hankel_det(sums, d, m) == 0:
             return ("no", m)
     return ("yes", None)
 
@@ -271,12 +252,7 @@ def analyze_poly(coeffs, prime_budget: int = 200) -> PolyProfile:
     if d < 1 or poly[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
     disc = _disc(poly)
-    if d < 2:
-        nondeg, deg_order = "yes", None
-    elif disc == 0:
-        nondeg, deg_order = "no", 1  # a repeated root has ratio 1
-    else:
-        nondeg, deg_order = _least_ratio_order(poly)
+    nondeg, deg_order = _least_ratio_order(poly)
     witnesses: dict[str, int] = {}
     certified = d <= 2  # no witness needed
     if d == 1:

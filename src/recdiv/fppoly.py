@@ -6,14 +6,15 @@ helpers work on bare lists plus an explicit modulus p; the dataclasses
 FpPoly, FactorPattern, ExtField and ExtElem wrap them for the public
 surface.
 
-Factorization patterns need only squarefree decomposition and
-distinct-degree splitting, so `pattern` is deterministic. Full factorization
-(`factor_mod_p`) adds Cantor-Zassenhaus equal-degree splitting (trace-based
-for p = 2); that stage is randomized but seeded from (seed, p,
-coefficients), and factor lists are sorted by degree then coefficients, so
-its output is reproducible too. No library path needs full factorization
-or an extension field: `factor_mod_p`, `solve_gamma`, `frobenius`,
-`ext_norm`, ExtField and ExtElem serve the tests as independent oracles.
+Factorization patterns need only distinct-degree splitting, which returns
+a repeated factor as a repeated block, with no derivative; so `pattern` is
+deterministic. Full factorization (`factor_mod_p`) splits those blocks by
+Cantor-Zassenhaus equal-degree splitting (trace-based for p = 2); that
+stage is randomized but seeded from (seed, p, coefficients), and factor
+lists are sorted by degree then coefficients, so its output is reproducible
+too. No library path needs full factorization or an extension field:
+`factor_mod_p`, `solve_gamma`, `frobenius`, `ext_norm`, ExtField and
+ExtElem serve the tests as independent oracles.
 
 Every power of x mod f goes through `_x_pow_mod`: x^(p^e) in
 distinct-degree splitting, x^p in `fp_root` and the irreducibility test,
@@ -195,10 +196,6 @@ def _x_pow_mod(e: int, f: list[int], p: int) -> list[int]:
     return _x_pow_kernel(len(f) - 1)(f, e, p)
 
 
-def _deriv(a: list[int], p: int) -> list[int]:
-    return _trim([i * c % p for i, c in enumerate(a)][1:])
-
-
 def _eval(a: list[int], x: int, p: int) -> int:
     v = 0
     for c in reversed(a):
@@ -298,46 +295,25 @@ def _mix_seed(seed: int, p: int, coeffs) -> int:
     return h
 
 
-def _sqf_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Squarefree decomposition of monic f: list of (squarefree part, mult)."""
-    out: list[tuple[list[int], int]] = []
-    n = 1
-    f = list(f)
-    while len(f) > 1:
-        d = _deriv(f, p)
-        if d:
-            g = _gcd_poly(f, d, p)
-            h = _divmod(f, g, p)[0]
-            i = 1
-            while h != [1]:
-                gg = _gcd_poly(g, h, p)
-                hh = _divmod(h, gg, p)[0]
-                if len(hh) > 1:
-                    out.append((hh, i * n))
-                g = _divmod(g, gg, p)[0]
-                h = gg
-                i += 1
-            if g == [1]:
-                break
-            f = g
-        # here f = f(x) with f' = 0, i.e. f = h(x)**p with h built from
-        # every p-th coefficient (the coefficient Frobenius is the identity)
-        f = f[::p]
-        n *= p
-    return out
-
-
 def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree splitting of monic squarefree f: (product, degree)."""
+    """Distinct-degree blocks (g, e) of monic f, repeated factors included.
+
+    Once the smaller degrees are gone, g = gcd(x^(p^e) - x, f) is the product
+    of the distinct irreducibles of degree e. Dividing f by g and taking
+    gcd(g, f) again until it is 1 puts an irreducible of multiplicity m in m
+    nested blocks of its degree. The blocks are squarefree and multiply to
+    f; a rest of degree below 2e is one irreducible.
+    """
     out = []
     e = 1
     f = list(f)
     while len(f) - 1 >= 2 * e:
         w = _x_pow_mod(p**e, f, p)
         g = _gcd_poly(_sub(w, [0, 1], p), f, p)
-        if len(g) > 1:
+        while len(g) > 1:
             out.append((g, e))
             f = _divmod(f, g, p)[0]
+            g = _gcd_poly(g, f, p)
         e += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -381,13 +357,12 @@ def factor_mod_p(f: FpPoly, seed: int = 0) -> list[tuple[FpPoly, int]]:
     if len(work) == 1:
         return []
     rng = random.Random(_mix_seed(seed, p, f.coeffs))
-    found: list[tuple[list[int], int]] = []
-    for part, mult in _sqf_list(work, p):
-        for prod, e in _ddf(part, p):
-            for irr in _edf(prod, e, p, rng):
-                found.append((irr, mult))
-    found.sort(key=lambda t: (len(t[0]), t[0]))
-    result = [(FpPoly(p, tuple(g)), m) for g, m in found]
+    mult: dict[tuple[int, ...], int] = {}
+    for block, e in _ddf(work, p):
+        for irr in _edf(block, e, p, rng):
+            mult[tuple(irr)] = mult.get(tuple(irr), 0) + 1
+    found = sorted(mult.items(), key=lambda t: (len(t[0]), t[0]))
+    result = [(FpPoly(p, g), m) for g, m in found]
     if __debug__:
         check = [1]
         for g, m in found:
@@ -400,9 +375,9 @@ def factor_mod_p(f: FpPoly, seed: int = 0) -> list[tuple[FpPoly, int]]:
 def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
     """Factorization pattern of an integer polynomial mod p.
 
-    Degrees come from squarefree decomposition and distinct-degree splitting
-    alone: a distinct-degree product of degree k*e at degree e holds k
-    irreducible factors of degree e, and a lone linear one gives the root.
+    Degrees come from distinct-degree splitting alone: a block of degree
+    k*e at degree e holds k irreducible factors of degree e, a lone linear
+    one gives the root, and f is squarefree when no degree has two blocks.
     """
     coeffs = _trim(list(coeffs))
     if coeffs and coeffs[-1] % p == 0:
@@ -410,18 +385,11 @@ def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
     f = _trim([c % p for c in coeffs])
     if not f:
         raise ValueError("zero polynomial")
-    parts = _sqf_list(_monic(f, p), p)
-    degrees = []
-    root = None
-    for part, mult in parts:
-        for prod, e in _ddf(part, p):
-            degrees += [e] * ((len(prod) - 1) // e * mult)
-            if e == 1:
-                root = -prod[0] % p  # prod is monic
-    degrees.sort(reverse=True)
-    if degrees.count(1) != 1:
-        root = None
-    squarefree = all(mult == 1 for _, mult in parts)
+    blocks = _ddf(_monic(f, p), p)
+    degrees = sorted((e for g, e in blocks for _ in range((len(g) - 1) // e)), reverse=True)
+    # a lone linear factor is the first block, x - root
+    root = -blocks[0][0][0] % p if degrees.count(1) == 1 else None
+    squarefree = len({e for _, e in blocks}) == len(blocks)
     return FactorPattern(p, tuple(degrees), squarefree, root)
 
 

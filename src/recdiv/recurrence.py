@@ -43,7 +43,7 @@ from itertools import islice
 from math import lcm
 
 from .arith import factor_integer
-from .fppoly import _ddf, _sqf_list, _x_pow_mod
+from .fppoly import _ddf, _x_pow_mod
 
 # Exact integer terms are only computed below this index; entries grow
 # exponentially in bit size, so large n must go through term_mod.
@@ -182,11 +182,11 @@ def _root_order_period(spec: RecurrenceSpec, p: int) -> int:
     is 1 mod h, and the order of x comes from stripping each prime of
     p^e - 1 while the smaller power is still 1.
     """
-    f = [c % p for c in spec.char_poly()]  # monic
-    if any(mult > 1 for _, mult in _sqf_list(f, p)):
+    blocks = _ddf([c % p for c in spec.char_poly()], p)  # monic
+    if len({e for _, e in blocks}) < len(blocks):
         raise ValueError("ramified prime: characteristic polynomial not squarefree")
     period = 1
-    for h, e in _ddf(f, p):
+    for h, e in blocks:
         order = p**e - 1
         for q in factor_integer(order).prime_divisors():
             while order % q == 0 and _x_pow_mod(order // q, h, p) == [1]:

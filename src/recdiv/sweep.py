@@ -32,8 +32,9 @@ class SweepConfig:
     """One sweep: the sequence, the prime bound, scan budgets, and output paths.
 
     Rejects, with a ValueError, an order or limit beyond the sweep guards,
-    a limit below 2, a worker count below 1, and an output path whose
-    directory does not exist, so a bad path fails before the sweep runs.
+    a limit below 2, a worker count below 1, and an output path that is a
+    directory or whose directory does not exist, so a bad path fails before
+    the sweep runs.
     """
 
     spec: RecurrenceSpec
@@ -57,6 +58,8 @@ class SweepConfig:
         for path in (self.csv_path, self.json_path):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"cannot write {path}: its directory does not exist")
+            if path and os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from recdiv.charpoly import (
     expected_pattern_density,
     is_irreducible_over_Q,
     nondegeneracy,
-    resultant_int,
     sd_certificate,
 )
 from recdiv.fppoly import pattern
@@ -47,12 +46,6 @@ def test_discriminant_detects_ramified_primes():
             if poly[-1] % p == 0:
                 continue
             assert (disc % p == 0) == (not pattern(poly, p).squarefree), (poly, p)
-
-
-def test_resultant_shared_root():
-    # (x-2)(x-3) and (x-2)(x-5) share a root, so the resultant vanishes
-    assert resultant_int([6, -5, 1], [10, -7, 1]) == 0
-    assert resultant_int([6, -5, 1], [35, -12, 1]) != 0
 
 
 def test_irreducibility_examples():

@@ -239,15 +239,23 @@ def test_analyze_prime_budget_beyond_sample_is_usage_error(capsys, monkeypatch):
     assert "20000" in err and "9591" in err
 
 
-@pytest.mark.parametrize("flag", ["--csv", "--json"])
-def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, flag):
+@pytest.mark.parametrize(
+    "flag, target",
+    [
+        pytest.param("--csv", "missing/out", id="--csv"),
+        pytest.param("--json", "missing/out", id="--json"),
+        pytest.param("--csv", "", id="--csv-existing-directory"),
+        pytest.param("--json", "", id="--json-existing-directory"),
+    ],
+)
+def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, flag, target):
     import recdiv.cli
 
     def no_sweep(*args):
         raise AssertionError("the sweep ran before the output path was checked")
 
     monkeypatch.setattr(recdiv.cli, "run_sweep", no_sweep)
-    path = str(tmp_path / "missing" / "out")
+    path = str(tmp_path / target)  # tmp_path itself exists and is a directory
     rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "100", flag, path])
     assert rc == 1
     err = capsys.readouterr().err

@@ -10,6 +10,8 @@ from recdiv.demo import DEMO_SPEC
 from recdiv.fppoly import (
     ExtField,
     FpPoly,
+    _ddf,
+    _divmod,
     _gcd_poly,
     _mul,
     _pow_mod,
@@ -29,6 +31,14 @@ from conftest import TRIB_POLY
 
 def _poly(coeffs, p):
     return FpPoly.from_list(list(coeffs), p)
+
+
+def _is_squarefree(f, p):
+    # oracle: f of degree >= 1 is squarefree exactly when f' != 0 and gcd(f, f') = 1
+    deriv = [i * c % p for i, c in enumerate(f)][1:]
+    while deriv and deriv[-1] == 0:
+        deriv.pop()
+    return bool(deriv) and _gcd_poly(f, deriv, p) == [1]
 
 
 def test_reduce_poly_examples():
@@ -149,6 +159,9 @@ _SYMPY_POLYS = [
     "x**3 - 2",
     "x**5 - x - 1",
     "(x**2 + x + 1)**2 * (x - 2)",  # not squarefree
+    "(x**2 + 1)**3",  # derivative 0 mod 3
+    "(x - 1)**5",
+    "(x**3 - x - 1)**2 * (x + 2)",
 ]
 
 
@@ -166,7 +179,12 @@ def test_pattern_matches_sympy_factor_list(text):
             continue
         _, factors = sympy.factor_list(expr, x, modulus=p)
         want = sorted((sympy.degree(g, x) for g, m in factors for _ in range(m)), reverse=True)
-        assert pattern(coeffs, p).degrees == tuple(want), p
+        linear = [sympy.Poly(g, x).all_coeffs() for g, m in factors if sympy.degree(g, x) == 1]
+        root = -linear[0][1] * pow(linear[0][0], -1, p) % p if want.count(1) == 1 else None
+        pat = pattern(coeffs, p)
+        assert pat.degrees == tuple(want), p
+        assert pat.squarefree == all(m == 1 for _, m in factors), p
+        assert pat.root == root, p
 
 
 _F49 = ExtField(7, FpPoly.from_list([5, 2, 1], 7))
@@ -293,14 +311,38 @@ def test_pattern_degrees_sum_and_squarefree_flag(args):
     deg = len(coeffs) - 1
     pat = pattern(coeffs, p)
     assert sum(pat.degrees) == deg
-    from recdiv.fppoly import _deriv
-
     f = reduce_poly(coeffs, p)
-    d = _deriv(list(f.coeffs), p)
-    assert pat.squarefree == (bool(d) and _gcd_poly(list(f.coeffs), d, p) == [1])
+    assert pat.squarefree == _is_squarefree(list(f.coeffs), p)
     full = sorted((g.degree for g, m in factor_mod_p(f) for _ in range(m)), reverse=True)
     assert pat.degrees == tuple(full)
     assert pat.root == (fp_root(coeffs, p) if full.count(1) == 1 else None)
+
+
+_monic_factor = st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=3)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.lists(st.tuples(_monic_factor, st.integers(min_value=1, max_value=4)), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_ddf_blocks_multiply_to_f_and_nest(p, factors):
+    f = [1]
+    for low, mult in factors:
+        g = [c % p for c in low] + [1]
+        for _ in range(mult):
+            f = _mul(f, g, p)
+    blocks = _ddf(f, p)
+    prod = [1]
+    for block, e in blocks:
+        prod = _mul(prod, block, p)
+        assert (len(block) - 1) % e == 0, (block, e)
+        assert _is_squarefree(block, p), (block, e)
+    assert prod == f
+    for e in {e for _, e in blocks}:
+        same = [block for block, k in blocks if k == e]
+        for outer, inner in zip(same, same[1:]):
+            assert _divmod(outer, inner, p)[1] == [], (outer, inner)
 
 
 def test_pattern_frequencies_coarse_chebotarev():

@@ -109,3 +109,18 @@ def test_base_order_histogram(tribonacci):
     fracs = [f for _, f in hist]
     assert fracs == sorted(fracs)
     assert fracs[-1] == 1
+
+
+def test_index_one_is_sympy_primitive_root():
+    # oracle: sympy's primitive-root test, an independent implementation
+    sympy = pytest.importorskip("sympy")
+    odd = sieve_primes(10**5)[1:]
+    for coeffs, primes in (([-2, 1], odd), ([3, 1], [p for p in odd if p != 3])):
+        rows = collect_order_rows(coeffs, 10**5)
+        assert [r.p for r in rows] == primes, coeffs
+        for r in rows:
+            assert (r.index == 1) == sympy.is_primitive_root(r.root, r.p), (coeffs, r)
+    rows = collect_order_rows(TRIB_POLY, 2 * 10**4)
+    assert len(rows) > 1000
+    for r in rows:
+        assert (r.index == 1) == sympy.is_primitive_root(r.root, r.p), r
