@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import all_divisors, euler_phi, factor_integer, sieve_primes
+from .arith import all_divisors, factor_integer, sieve_primes
 from .fppoly import _trim, pattern
 
 # ---------------------------------------------------------------------------
@@ -134,14 +134,28 @@ def nondegeneracy(coeffs) -> tuple[str, int | None]:
     return verdict
 
 
+@lru_cache(maxsize=None)
+def _ratio_orders(d: int) -> tuple[int, ...]:
+    """1, then every m >= 2 with phi(m) <= d(d-1): the orders a root of unity
+    of degree at most d(d-1) over Q can have. phi(m) >= sqrt(m/2) bounds m by
+    2(d(d-1))^2, and one totient sieve to that bound gives every phi(m)."""
+    bound = d * (d - 1)
+    limit = 2 * bound * bound
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # no smaller prime divides q
+            for m in range(q, limit + 1, q):
+                phi[m] -= phi[m] // q
+    # m = 1 compares the roots themselves, which coincide at a repeated root
+    return (1, *(m for m in range(2, limit + 1) if phi[m] <= bound))
+
+
 def _least_ratio_order(poly: list[int]) -> tuple[str, int | None]:
     """nondegeneracy for a trimmed polynomial; ("no", 1) for a repeated root."""
     d = len(poly) - 1
     if d < 2:
         return ("yes", None)
-    bound = d * (d - 1)
-    # m = 1 compares the roots themselves, which coincide at a repeated root
-    orders = [1] + [m for m in range(2, 2 * bound * bound + 1) if euler_phi(m) <= bound]
+    orders = _ratio_orders(d)
     sums = _power_sums(_scaled_monic(poly), (2 * d - 2) * orders[-1])
     for m in orders:
         if _hankel_det(sums, d, m) == 0:

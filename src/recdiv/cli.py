@@ -143,6 +143,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_detect(args) -> int:
     spec = _make_spec(args.poly, args.init)
     p = args.prime
+    if p >= 1 << 64:  # where is_prime stops being exact
+        raise UsageError(f"-p must be below 2**64, got {p}")
     if not is_prime(p):
         raise UsageError(f"-p must be a prime, got {p}")
     pat, ctx, verdict = detect_full(spec, p, _make_policy(args))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from recdiv.arith import sieve_primes
+from recdiv.arith import euler_phi, sieve_primes
 from recdiv.charpoly import (
     analyze_poly,
     discriminant,
@@ -11,6 +11,7 @@ from recdiv.charpoly import (
     nondegeneracy,
     sd_certificate,
 )
+from recdiv.charpoly import _ratio_orders
 from recdiv.fppoly import pattern
 
 from conftest import TRIB_POLY
@@ -92,6 +93,15 @@ def test_nondegeneracy_reversal_invariance():
     ]
     for poly, rev in cases:
         assert nondegeneracy(poly)[0] == nondegeneracy(rev)[0]
+
+
+def test_ratio_orders_match_euler_phi_filter():
+    # oracle: phi(m) by factorization, for every m up to 2 (d(d-1))^2
+    for d in range(2, 9):
+        bound = d * (d - 1)
+        want = [1] + [m for m in range(2, 2 * bound * bound + 1) if euler_phi(m) <= bound]
+        assert list(_ratio_orders(d)) == want, d
+    assert _ratio_orders(3)[-1] == 18 and len(_ratio_orders(8)) == 108
 
 
 def test_sd_certificate_examples():

@@ -209,6 +209,21 @@ def test_detect_rejects_non_prime(capsys, monkeypatch):
         assert err.startswith("error:") and f"got {n}" in err, n
 
 
+@pytest.mark.parametrize("prime", [str(2**64), "18446744073709551629"])
+def test_detect_rejects_prime_from_2_to_the_64(capsys, monkeypatch, prime):
+    # is_prime is exact only below 2^64, and the scans pack terms in 64-bit words
+    import recdiv.cli
+
+    def no_detect(*args):
+        raise AssertionError("detect_full ran on a modulus above 2^64")
+
+    monkeypatch.setattr(recdiv.cli, "detect_full", no_detect)
+    rc = cli(["detect", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "-p", prime])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"below 2**64, got {prime}" in err
+
+
 @pytest.mark.parametrize("limit", ["-5", "1"])
 def test_sweep_limit_below_two_is_usage_error(capsys, limit):
     rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", limit])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdiv.arith import mult_order, sieve_primes
+from recdiv.arith import all_divisors, factor_integer, is_prime, mult_order, sieve_primes
 from recdiv.fppoly import _mul, _rem, pattern
 from recdiv.recurrence import (
     BLOCK,
@@ -19,7 +19,7 @@ from recdiv.recurrence import (
     term_stream,
     zero_term_scan,
 )
-from recdiv.recurrence import _block_scan
+from recdiv.recurrence import _block_scan, _lane_bits, _scan_kernel
 
 
 def test_spec_validation():
@@ -368,3 +368,88 @@ def test_block_scan_matches_walker_near_1e6(p):
         assert has_zero_bruteforce(spec, p, want.steps) == want
         short = want.steps - 1
         assert has_zero_bruteforce(spec, p, short) == BruteResult("capped", steps=short)
+
+
+def _zero_at(d, p, n0, rng):
+    """An order-d spec with random multipliers mod p and a_{n0} = 0: a state
+    starting with 0 stepped back n0 times. Its least zero may come earlier."""
+    ks = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d - 1)]
+    state = [0] + [rng.randrange(p) for _ in range(d - 1)]
+    inv = pow(ks[0], -1, p)
+    for _ in range(n0):
+        state = [(state[-1] - sum(k * v for k, v in zip(ks[1:], state))) * inv % p] + state[:-1]
+    return RecurrenceSpec(tuple(-k for k in ks), tuple(state))
+
+
+def _long_order(p):
+    """The largest divisor of p - 1 in (BLOCK, 8 * BLOCK], or None."""
+    orders = [t for t in all_divisors(factor_integer(p - 1)) if BLOCK < t <= 8 * BLOCK]
+    return orders[-1] if orders else None
+
+
+def _long_period(d, p, order):
+    """Power sums of r, r^2, ..., r^d with r of the given order: that is the period."""
+    g = next(a for a in range(2, p) if mult_order(a, p) == p - 1)
+    r = pow(g, (p - 1) // order, p)
+    return _roots_power_sums(p, [pow(r, j, p) for j in range(1, d + 1)])
+
+
+def _scan_cases(d, p, rng):
+    cases = [_zero_at(d, p, BLOCK + 97, rng)] if d > 1 else []  # order 1 has no zero past a_0
+    if order := _long_order(p):
+        cases.append(_long_period(d, p, order))
+    return cases
+
+
+def _check_scan(spec, p):
+    """has_zero_bruteforce equals the reference at caps around the end of the
+    full scan; True when that scan ends past the first block."""
+    full = _reference_zero_scan(spec, p, 10**5)
+    for cap in {BLOCK + 1, 2 * BLOCK, full.steps - 1, full.steps, 10**5}:
+        got = has_zero_bruteforce(spec, p, cap)
+        assert got == _reference_zero_scan(spec, p, cap), (spec.fingerprint(), p, cap)
+    return full.kind != "capped" and full.steps > BLOCK
+
+
+def test_block_scan_matches_reference_at_every_lane_width():
+    # orders 1-5 at primes from 3 to 3e6, the sweep limit: the smallest and
+    # the largest prime of each lane width whose p - 1 has a divisor in
+    # (BLOCK, 8 * BLOCK]. Below 514 none has, and a scan runs past the first
+    # block only on a zero-free orbit longer than BLOCK.
+    rng = random.Random(12)
+    primes = sieve_primes(3_000_000)[1:]
+    for d in range(1, 6):
+        by_width = {}
+        for p in primes:
+            by_width.setdefault(_lane_bits(d, p)[1], []).append(p)
+        covered = set()
+        for width, group in by_width.items():
+            for seq in (group, group[::-1]):
+                p = next((p for p in seq if _long_order(p)), None)
+                if p is not None and any([_check_scan(spec, p) for spec in _scan_cases(d, p, rng)]):
+                    covered.add(width)
+        assert covered == set(range(4 if d == 1 else 5, 10)), (d, sorted(covered))
+    p = 2**32 + 15  # the least prime above 2^32
+    assert is_prime(p)
+    for d in range(1, 6):
+        assert _lane_bits(d, p)[1] > max(_lane_bits(d, q)[1] for q in (3, 2_999_999))
+        assert all([_check_scan(spec, p) for spec in _scan_cases(d, p, rng)]), d
+
+
+def test_scan_kernel_compiles_and_scans_for_orders_1_to_8():
+    rng = random.Random(8)
+    p = 1_000_003
+    for d in range(1, 9):
+        assert callable(_scan_kernel(d))
+        spec = _zero_at(d, p, 3 * BLOCK + d, rng) if d > 1 else RecurrenceSpec((-2,), (5,))
+        for cap in (2 * BLOCK, 4 * BLOCK):
+            assert has_zero_bruteforce(spec, p, cap) == _reference_zero_scan(spec, p, cap), (d, cap)
+
+
+def test_block_scan_rejects_modulus_from_2_to_the_64():
+    for p in (2**64 + 1, 2**64 + 13):
+        with pytest.raises(ValueError, match=f"below 2\\*\\*64, got {p}"):
+            _block_scan([1], [1] * (BLOCK + 1), p, 10**6)
+    p = 2**64 - 59  # the largest prime below 2^64
+    head = [pow(3, n, p) for n in range(BLOCK + 1)]
+    assert _block_scan([3], head, p, 4 * BLOCK) == BruteResult("capped", steps=4 * BLOCK)
