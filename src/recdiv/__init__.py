@@ -6,9 +6,7 @@ from .charpoly import (
     analyze_poly,
     discriminant,
     expected_pattern_density,
-    is_irreducible_over_Q,
     nondegeneracy,
-    sd_certificate,
 )
 from .detect import (
     DetectPolicy,
@@ -17,7 +15,6 @@ from .detect import (
     Verdict,
     build_context,
     cross_validate,
-    detect,
     structural_detect,
 )
 from .fppoly import FactorPattern, fp_root, pattern

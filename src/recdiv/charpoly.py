@@ -11,8 +11,8 @@ is fraction-free Bareiss elimination.
 
 Irreducibility and symmetric-group certificates come from factorization
 patterns sampled at squarefree primes, in one walk inside `analyze_poly`
-that takes each pattern once; `is_irreducible_over_Q` and `sd_certificate`
-read its profile. The pattern-based checks are sound but incomplete, so
+that takes each pattern once; its `PolyProfile` carries both verdicts and
+their witness primes. The pattern-based checks are sound but incomplete, so
 they answer yes / no / unknown."""
 
 from __future__ import annotations
@@ -307,18 +307,3 @@ def analyze_poly(coeffs, prime_budget: int = 200) -> PolyProfile:
         sd_certified=sd,
         witness_primes=witnesses,
     )
-
-
-def is_irreducible_over_Q(coeffs, prime_budget: int = 200) -> tuple[str, int | None]:
-    """Sound, incomplete irreducibility test for a monic integer polynomial,
-    read off analyze_poly: ("yes" | "no" | "unknown", witness)."""
-    profile = analyze_poly(coeffs, prime_budget)
-    return profile.irreducible, profile.irreducible_witness
-
-
-def sd_certificate(coeffs, prime_budget: int = 200) -> tuple[str, dict[str, int]]:
-    """Certify the Galois group is the full symmetric group, via witnesses,
-    read off analyze_poly: ("certified" | "unknown", {pattern: witness prime}).
-    """
-    profile = analyze_poly(coeffs, prime_budget)
-    return profile.sd_certified, profile.witness_primes

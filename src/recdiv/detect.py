@@ -239,11 +239,6 @@ def detect_full(
     )
 
 
-def detect(spec: RecurrenceSpec, p: int, policy: DetectPolicy = DEFAULT_POLICY) -> Verdict:
-    """Divisorship verdict at p: exclusions, then structural or brute path."""
-    return detect_full(spec, p, policy)[2]
-
-
 def cross_validate(
     spec: RecurrenceSpec, prime_limit: int, cap: int = 10_000_000
 ) -> list[tuple[int, str, str]]:

@@ -1,35 +1,45 @@
-"""Polynomial arithmetic over F_p and arithmetic in extension fields F_{p^k}.
+"""Polynomial arithmetic over F_p on coefficient lists.
 
-Polynomials are dense coefficient lists, lowest degree first, with no
-trailing zeros; the empty list is the zero polynomial. The underscore
-helpers work on bare lists plus an explicit modulus p; the dataclasses
-FpPoly, FactorPattern, ExtField and ExtElem wrap them for the public
-surface.
+A polynomial is a dense list of residues mod p, lowest degree first, with
+no trailing zeros; the empty list is the zero polynomial. Every helper
+takes the modulus p, and an element of F_p[x]/(g) is a list reduced mod g.
+`FactorPattern` is the only class.
 
-Factorization patterns need only distinct-degree splitting, which returns
-a repeated factor as a repeated block, with no derivative; so `pattern` is
-deterministic. Full factorization (`factor_mod_p`) splits those blocks by
-Cantor-Zassenhaus equal-degree splitting (trace-based for p = 2); that
-stage is randomized but seeded from (seed, p, coefficients), and factor
-lists are sorted by degree then coefficients, so its output is reproducible
-too. No library path needs full factorization or an extension field:
-`factor_mod_p`, `solve_gamma`, `frobenius`, `ext_norm`, ExtField and
-ExtElem serve the tests as independent oracles.
+The library needs two things of a polynomial mod p: its factorization
+pattern (`pattern`) and its smallest root (`fp_root`). Patterns need only
+distinct-degree splitting, which returns a repeated factor as a repeated
+block, with no derivative, so `pattern` is deterministic. `fp_root` reads a
+unique root off gcd(x^p - x, f); only several roots need equal-degree
+splitting (`_edf`, Cantor-Zassenhaus, trace-based for p = 2).
+
+`factor_mod_p` (full factorization) and `solve_gamma` (the Vandermonde
+system a_n = sum gamma_i root_i^n, solved in F_p[x]/(g)) serve the tests as
+independent oracles: no library path calls them, and the benchmark traces
+them by name.
+
+The split draws its random polynomials from a `random.Random` seeded by p
+and the coefficients, so every result is reproducible. A fixed sequence of
+shifts x + a, a = 0, 1, ..., finds the same roots but splits worse: on
+Tribonacci at the primes up to 1e5 it needed 8,343 splitting powers
+instead of 5,281, because after the first split x + 1 and x + 2 never
+separated the remaining pair of roots, and `order-stats --poly 1,-1,-1,-1
+--limit 100000` took 2.12 s instead of 1.43 s (medians of 6 alternating
+runs, CPython 3.11.7, 2-core VM).
 
 Every power of x mod f goes through `_x_pow_mod`: x^(p^e) in
-distinct-degree splitting, x^p in `fp_root` and the irreducibility test,
-x^n in `recurrence.term_mod`, x^512, the block step, in the packed zero
-scan, and x^((p^e - 1)/q), the order of x mod a distinct-degree block, in
-`recurrence.period_mod`. Those powers are most of the per-prime F_p[x] work of a sweep, so
-the square-and-multiply is generated once per degree d, the way
-`recurrence._stream` generates the term stream mod p: the coefficients
-sit in d locals, the reductions of x^d..x^(2d-2) mod f are computed at
-entry, and multiplying by x is a shift plus one reduction. For d = 3, 4,
-5, x^p mod f took 15, 27, 38 us at p = 9973 and 30, 53, 78 us at
-p = 3,000,017, against 163, 219, 350 us and 307, 423, 564 us for the
-generic list arithmetic of `_pow_mod` (best of 5, CPython 3.11.7, 2-core
-VM). `_pow_mod` stays for general bases (equal-degree splitting, ExtElem
-powers in the test oracles) and as the kernel's test oracle.
+distinct-degree splitting, x^p in `fp_root`, x^n in `recurrence.term_mod`,
+x^512, the block step, in the packed zero scan, and x^((p^e - 1)/q), the
+order of x mod a distinct-degree block, in `recurrence.period_mod`. Those
+powers are most of the per-prime F_p[x] work of a sweep, so the
+square-and-multiply is generated once per degree d, the way
+`recurrence._stream` generates the term stream mod p: the coefficients sit
+in d locals, the reductions of x^d..x^(2d-2) mod f are computed at entry,
+and multiplying by x is a shift plus one reduction. For d = 3, 4, 5, x^p
+mod f took 15, 27, 38 us at p = 9973 and 30, 53, 78 us at p = 3,000,017,
+against 163, 219, 350 us and 307, 423, 564 us for the generic list
+arithmetic of `_pow_mod` (best of 5, CPython 3.11.7, 2-core VM). `_pow_mod`
+stays for general bases (equal-degree splitting, `solve_gamma`) and as the
+kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -37,8 +47,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .arith import factor_integer
 
 
 # ---------------------------------------------------------------------------
@@ -203,73 +211,6 @@ def _eval(a: list[int], x: int, p: int) -> int:
     return v
 
 
-def _ext_gcd_poly(a, b, p):
-    # returns (g, u, v) with u*a + v*b = g, g monic
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
-    if r0 and r0[-1] != 1:
-        inv = pow(r0[-1], -1, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
-
-
-# ---------------------------------------------------------------------------
-# public polynomial types
-
-
-@dataclass(frozen=True)
-class FpPoly:
-    """Dense polynomial over F_p, lowest degree first, no trailing zeros."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(not 0 <= c < self.p for c in self.coeffs):
-            raise ValueError("coefficients out of range")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient")
-
-    @classmethod
-    def from_list(cls, coeffs: list[int], p: int) -> "FpPoly":
-        return cls(p, tuple(_trim([c % p for c in coeffs])))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts))
-
-
-def reduce_poly(coeffs: list[int] | tuple[int, ...], p: int) -> FpPoly:
-    """Coefficientwise reduction of an integer polynomial mod p."""
-    return FpPoly.from_list([c % p for c in coeffs], p)
-
-
 @dataclass(frozen=True)
 class FactorPattern:
     """Multiset of irreducible factor degrees of a polynomial mod p."""
@@ -288,8 +229,8 @@ class FactorPattern:
 # factorization mod p
 
 
-def _mix_seed(seed: int, p: int, coeffs) -> int:
-    h = (seed * 0x9E3779B97F4A7C15 + p) & 0xFFFFFFFFFFFFFFFF
+def _mix_seed(p: int, coeffs) -> int:
+    h = p
     for c in coeffs:
         h = (h * 1000003 + c + 1) & 0xFFFFFFFFFFFFFFFF
     return h
@@ -344,32 +285,14 @@ def _edf(f: list[int], e: int, p: int, rng: random.Random) -> list[list[int]]:
             return _edf(h, e, p, rng) + _edf(rest, e, p, rng)
 
 
-def factor_mod_p(f: FpPoly, seed: int = 0) -> list[tuple[FpPoly, int]]:
-    """Monic irreducible factors of f with multiplicities, sorted.
-
-    The product of factor**multiplicity equals f up to the leading unit.
-    Sorted by degree, then coefficient tuple, so output is deterministic.
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    p = f.p
-    work = _monic(list(f.coeffs), p)
-    if len(work) == 1:
-        return []
-    rng = random.Random(_mix_seed(seed, p, f.coeffs))
-    mult: dict[tuple[int, ...], int] = {}
-    for block, e in _ddf(work, p):
-        for irr in _edf(block, e, p, rng):
-            mult[tuple(irr)] = mult.get(tuple(irr), 0) + 1
-    found = sorted(mult.items(), key=lambda t: (len(t[0]), t[0]))
-    result = [(FpPoly(p, g), m) for g, m in found]
-    if __debug__:
-        check = [1]
-        for g, m in found:
-            for _ in range(m):
-                check = _mul(check, g, p)
-        assert check == work, "factor product mismatch"
-    return result
+def _reduce(coeffs: list[int] | tuple[int, ...], p: int, what: str) -> list[int]:
+    """An integer polynomial mod p, rejecting a leading coefficient divisible by p."""
+    coeffs = _trim(list(coeffs))
+    if coeffs and coeffs[-1] % p == 0:
+        raise ValueError(f"{what} undefined at this prime")
+    if not coeffs:
+        raise ValueError("zero polynomial")
+    return [c % p for c in coeffs]
 
 
 def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
@@ -379,12 +302,7 @@ def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
     k*e at degree e holds k irreducible factors of degree e, a lone linear
     one gives the root, and f is squarefree when no degree has two blocks.
     """
-    coeffs = _trim(list(coeffs))
-    if coeffs and coeffs[-1] % p == 0:
-        raise ValueError("pattern undefined at this prime")
-    f = _trim([c % p for c in coeffs])
-    if not f:
-        raise ValueError("zero polynomial")
+    f = _reduce(coeffs, p, "pattern")
     blocks = _ddf(_monic(f, p), p)
     degrees = sorted((e for g, e in blocks for _ in range((len(g) - 1) // e)), reverse=True)
     # a lone linear factor is the first block, x - root
@@ -400,12 +318,7 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
     choice would do. A unique root is read off gcd(x^p - x, f), as in
     FactorPattern.root; only several roots need the seeded split.
     """
-    coeffs = _trim(list(coeffs))
-    if coeffs and coeffs[-1] % p == 0:
-        raise ValueError("root search undefined at this prime")
-    f = _trim([c % p for c in coeffs])
-    if not f:
-        raise ValueError("zero polynomial")
+    f = _reduce(coeffs, p, "root search")
     if len(f) == 1:
         return None
     if len(f) == 2:
@@ -417,183 +330,76 @@ def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:
         return None
     if len(lin) == 2:
         return -lin[0] % p
-    rng = random.Random(_mix_seed(0, p, tuple(f)))
+    rng = random.Random(_mix_seed(p, f))
     roots = [-g[0] % p for g in _edf(lin, 1, p, rng)]
     return min(roots)
 
 
 # ---------------------------------------------------------------------------
-# extension fields
+# test oracles: no library path calls these
 
 
-def _is_irreducible(g: list[int], p: int) -> bool:
-    k = len(g) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if _x_pow_mod(p**k, g, p) != [0, 1]:
-        return False
-    for q in factor_integer(k).prime_divisors():
-        w = _x_pow_mod(p ** (k // q), g, p)
-        if len(_gcd_poly(_sub(w, [0, 1], p), g, p)) > 1:
-            return False
-    return True
+def factor_mod_p(coeffs: list[int] | tuple[int, ...], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors of an integer polynomial mod p, with multiplicities.
 
-
-@dataclass(frozen=True)
-class ExtField:
-    """F_{p^k} realized as F_p[x]/(modulus), modulus monic irreducible."""
-
-    p: int
-    modulus: FpPoly
-
-    def __post_init__(self):
-        g = list(self.modulus.coeffs)
-        if self.modulus.p != self.p:
-            raise ValueError("modulus is over a different prime field")
-        if not g or g[-1] != 1 or len(g) < 2:
-            raise ValueError("modulus must be monic of degree >= 1")
-        if not _is_irreducible(g, self.p):
-            raise ValueError("modulus is not irreducible")
-
-    @property
-    def degree(self) -> int:
-        return self.modulus.degree
-
-    def elem(self, coeffs: list[int]) -> "ExtElem":
-        c = [v % self.p for v in coeffs]
-        c = _rem(c, list(self.modulus.coeffs), self.p)
-        return ExtElem(self, tuple(c) + (0,) * (self.degree - len(c)))
-
-    def embed(self, c: int) -> "ExtElem":
-        return self.elem([c])
-
-    def gen(self) -> "ExtElem":
-        """The residue class of x."""
-        return self.elem([0, 1])
-
-    def zero(self) -> "ExtElem":
-        return self.elem([])
-
-    def one(self) -> "ExtElem":
-        return self.elem([1])
-
-
-@dataclass(frozen=True)
-class ExtElem:
-    """Element of an ExtField in power-basis coordinates (length = degree)."""
-
-    field: ExtField
-    coeffs: tuple[int, ...]
-
-    def _lift(self) -> list[int]:
-        return _trim(list(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_base(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def base_value(self) -> int:
-        if not self.is_base():
-            raise ValueError("element does not lie in the base field")
-        return self.coeffs[0] if self.coeffs else 0
-
-    def _wrap(self, c: list[int]) -> "ExtElem":
-        return ExtElem(self.field, tuple(c) + (0,) * (self.field.degree - len(c)))
-
-    def __add__(self, other: "ExtElem") -> "ExtElem":
-        assert self.field == other.field
-        return self._wrap(_add(self._lift(), other._lift(), self.field.p))
-
-    def __sub__(self, other: "ExtElem") -> "ExtElem":
-        assert self.field == other.field
-        return self._wrap(_sub(self._lift(), other._lift(), self.field.p))
-
-    def __neg__(self) -> "ExtElem":
-        return self._wrap(_sub([], self._lift(), self.field.p))
-
-    def __mul__(self, other: "ExtElem") -> "ExtElem":
-        assert self.field == other.field
-        p = self.field.p
-        prod = _mul(self._lift(), other._lift(), p)
-        return self._wrap(_rem(prod, list(self.field.modulus.coeffs), p))
-
-    def __pow__(self, e: int) -> "ExtElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        p = self.field.p
-        c = _pow_mod(self._lift(), e, list(self.field.modulus.coeffs), p)
-        return self._wrap(c)
-
-    def inverse(self) -> "ExtElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        p = self.field.p
-        g, u, _ = _ext_gcd_poly(self._lift(), list(self.field.modulus.coeffs), p)
-        assert g == [1]
-        return self._wrap(u)
-
-    def __truediv__(self, other: "ExtElem") -> "ExtElem":
-        return self * other.inverse()
-
-
-def frobenius(a: ExtElem) -> ExtElem:
-    """The field automorphism x -> x**p; applying it degree-many times is id."""
-    return a ** a.field.p
-
-
-def ext_norm(a: ExtElem) -> int:
-    """Norm down to F_p: the product of all Frobenius conjugates, as a residue.
-
-    Equals a**((p^k - 1)/(p - 1)) for nonzero a, and 0 for a = 0.
+    The product of factor**multiplicity equals f mod p up to the leading
+    unit. Factors are coefficient tuples, lowest degree first, sorted by
+    degree and then by coefficients.
     """
-    if a.is_zero():
-        return 0
-    k = a.field.degree
-    p = a.field.p
-    q = (p**k - 1) // (p - 1)
-    b = a**q
-    return b.base_value()
+    f = _trim([c % p for c in coeffs])
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
+    work = _monic(f, p)
+    rng = random.Random(_mix_seed(p, f))
+    mult: dict[tuple[int, ...], int] = {}
+    for block, e in _ddf(work, p):
+        for irr in _edf(block, e, p, rng):
+            mult[tuple(irr)] = mult.get(tuple(irr), 0) + 1
+    found = sorted(mult.items(), key=lambda t: (len(t[0]), t[0]))
+    if __debug__:
+        check = [1]
+        for g, m in found:
+            for _ in range(m):
+                check = _mul(check, list(g), p)
+        assert check == work, "factor product mismatch"
+    return found
 
 
-def solve_gamma(roots: list[ExtElem], init: list[int]) -> list[ExtElem]:
+def solve_gamma(roots: list[list[int]], init: list[int], g: list[int], p: int) -> list[list[int]]:
     """Coefficients gamma with sum(gamma_i * roots_i**n) = init_n for n < d.
 
-    Solves the Vandermonde system by Gaussian elimination over the extension
-    field. The roots must be pairwise distinct; the first coefficient is
-    checked to lie in the base field.
+    Solves the Vandermonde system by Gaussian elimination in F_p[x]/(g),
+    for g monic irreducible of degree k, where each root and each gamma is
+    a residue list reduced mod g; a nonzero a is inverted as a^(p^k - 2).
+    The roots must be pairwise distinct; the first coefficient is checked
+    to lie in F_p.
     """
     d = len(roots)
     if len(init) != d:
         raise ValueError("need as many initial terms as roots")
-    field = roots[0].field
-    for i in range(d):
-        for j in range(i + 1, d):
-            if roots[i] == roots[j]:
-                raise ValueError("ramified prime; exclude")
-    rows = []
-    for n in range(d):
-        row = [r**n for r in roots]
-        row.append(field.embed(init[n]))
-        rows.append(row)
+    if len(set(map(tuple, roots))) < d:
+        raise ValueError("ramified prime; exclude")
+    unit = p ** (len(g) - 1) - 2
+
+    def mul(a, b):
+        return _rem(_mul(a, b, p), g, p)
+
+    rows = [[_pow_mod(r, n, g, p) for r in roots] + [_trim([init[n] % p])] for n in range(d)]
     for col in range(d):
-        piv = next(r for r in range(col, d) if not rows[r][col].is_zero())
+        piv = next(r for r in range(col, d) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [v * inv for v in rows[col]]
+        inv = _pow_mod(rows[col][col], unit, g, p)
+        rows[col] = [mul(v, inv) for v in rows[col]]
         for r in range(d):
-            if r != col and not rows[r][col].is_zero():
+            if r != col and rows[r][col]:
                 c = rows[r][col]
-                rows[r] = [v - c * w for v, w in zip(rows[r], rows[col])]
+                rows[r] = [_sub(v, mul(c, w), p) for v, w in zip(rows[r], rows[col])]
     gammas = [rows[i][d] for i in range(d)]
     if __debug__:
         for n in range(d):
-            acc = field.zero()
-            for g, r in zip(gammas, roots):
-                acc = acc + g * r**n
-            assert acc == field.embed(init[n]), "gamma reconstruction failed"
-    assert gammas[0].is_base(), "leading coefficient must be in the base field"
+            acc = []
+            for gam, r in zip(gammas, roots):
+                acc = _add(acc, mul(gam, _pow_mod(r, n, g, p)), p)
+            assert acc == _trim([init[n] % p]), "gamma reconstruction failed"
+    assert len(gammas[0]) <= 1, "leading coefficient must be in the base field"
     return gammas

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .arith import mult_order, odd_prime_totients, sieve_primes
-from .charpoly import discriminant
+from .charpoly import _disc, _ipoly
 from .detect import Excluded, build_context
 from .fppoly import fp_root
 from .recurrence import RecurrenceSpec
@@ -82,13 +82,11 @@ def _histogram(rows: list[OrderRow], c_grid) -> list[tuple[int, Fraction]]:
 
 def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
     """Order rows over all qualifying primes up to limit."""
-    poly = [int(c) for c in coeffs]
-    while poly and not poly[-1]:
-        poly.pop()  # zero leading coefficients
+    poly = _ipoly(coeffs)
     if len(poly) < 2:
         raise ValueError("need a nonconstant polynomial")
     lead = poly[-1]
-    disc = discriminant(poly) if len(poly) > 2 else 1
+    disc = _disc(poly)
     rows = []
     for p, totient in odd_prime_totients(limit):
         if lead % p == 0 or disc % p == 0:

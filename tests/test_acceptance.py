@@ -8,7 +8,7 @@ that runs it at worker counts 1, 2 and 4.
 import pytest
 
 from recdiv.arith import sieve_primes
-from recdiv.charpoly import discriminant, nondegeneracy, sd_certificate
+from recdiv.charpoly import analyze_poly, discriminant, nondegeneracy
 from recdiv.demo import DEMO_SPEC, expected_base
 from recdiv.detect import Excluded, build_context, cross_validate
 from recdiv.orderstats import artin_fraction, index_histogram
@@ -165,8 +165,8 @@ def test_criterion_9_hypothesis_checks():
     checks = {
         "disc(x^3-x^2-x-1) == -44": discriminant([-1, -1, -1, 1]) == -44,
         "nondegeneracy(x^4+1) == no": nondegeneracy([1, 0, 0, 0, 1])[0] == "no",
-        "sd(x^3-x^2-x-1) certified": sd_certificate([-1, -1, -1, 1])[0] == "certified",
-        "sd(x^3+x^2-2x-1) unknown": sd_certificate([-1, -2, 1, 1])[0] == "unknown",
+        "sd(x^3-x^2-x-1) certified": analyze_poly([-1, -1, -1, 1]).sd_certified == "certified",
+        "sd(x^3+x^2-2x-1) unknown": analyze_poly([-1, -2, 1, 1]).sd_certified == "unknown",
     }
     failing = [k for k, v in checks.items() if not v]
     _report(9, "hypothesis checks", not failing, f"failing: {failing or 'none'}")

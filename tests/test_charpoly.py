@@ -7,9 +7,7 @@ from recdiv.charpoly import (
     analyze_poly,
     discriminant,
     expected_pattern_density,
-    is_irreducible_over_Q,
     nondegeneracy,
-    sd_certificate,
 )
 from recdiv.charpoly import _ratio_orders
 from recdiv.fppoly import pattern
@@ -50,20 +48,18 @@ def test_discriminant_detects_ramified_primes():
 
 
 def test_irreducibility_examples():
-    assert is_irreducible_over_Q([-1, 0, 0, 1]) == ("no", 1)  # x^3 - 1
-    verdict, _ = is_irreducible_over_Q(TRIB_POLY)
-    assert verdict == "yes"
-    verdict, _ = is_irreducible_over_Q([-2, 0, 0, 1])
-    assert verdict == "yes"
+    profile = analyze_poly([-1, 0, 0, 1])  # x^3 - 1
+    assert (profile.irreducible, profile.irreducible_witness) == ("no", 1)
+    assert analyze_poly(TRIB_POLY).irreducible == "yes"
+    assert analyze_poly([-2, 0, 0, 1]).irreducible == "yes"
     # degree-sum analysis cannot decide x^4 + 1, which never stays irreducible mod p
-    assert is_irreducible_over_Q([1, 0, 0, 0, 1])[0] == "unknown"
+    assert analyze_poly([1, 0, 0, 0, 1]).irreducible == "unknown"
 
 
 def test_irreducibility_degree_sum_path():
     # (x^2+1)(x^2+3) is reducible but has no rational root; must not say yes
     poly = [3, 0, 4, 0, 1]
-    verdict, _ = is_irreducible_over_Q(poly)
-    assert verdict in ("no", "unknown")
+    assert analyze_poly(poly).irreducible in ("no", "unknown")
 
 
 def test_nondegeneracy_examples():
@@ -105,18 +101,19 @@ def test_ratio_orders_match_euler_phi_filter():
 
 
 def test_sd_certificate_examples():
-    status, witnesses = sd_certificate(TRIB_POLY)
-    assert status == "certified"
-    assert "2-1" in witnesses
-    assert pattern(TRIB_POLY, witnesses["2-1"]).degrees == (2, 1)
-    assert sd_certificate([-1, 0, 0, 1]) == ("unknown", {})  # reducible
+    profile = analyze_poly(TRIB_POLY)
+    assert profile.sd_certified == "certified"
+    assert "2-1" in profile.witness_primes
+    assert pattern(TRIB_POLY, profile.witness_primes["2-1"]).degrees == (2, 1)
+    profile = analyze_poly([-1, 0, 0, 1])  # reducible
+    assert (profile.sd_certified, profile.witness_primes) == ("unknown", {})
 
 
 def test_sd_certificate_negative_control():
     # cyclic cubic: square discriminant, the pattern {2,1} never occurs
-    status, witnesses = sd_certificate(CYCLIC_CUBIC)
-    assert status == "unknown"
-    assert "2-1" not in witnesses
+    profile = analyze_poly(CYCLIC_CUBIC)
+    assert profile.sd_certified == "unknown"
+    assert "2-1" not in profile.witness_primes
 
 
 def test_expected_density_examples():

@@ -8,12 +8,11 @@ from recdiv.detect import (
     StructuralContext,
     build_context,
     cross_validate,
-    detect,
     detect_full,
     structural_detect,
 )
 from recdiv.detect import _verified_divisor
-from recdiv.fppoly import ExtField, ext_norm, factor_mod_p, frobenius, reduce_poly, solve_gamma
+from recdiv.fppoly import _pow_mod, factor_mod_p, solve_gamma
 from recdiv.recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 
 TETRANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1], [1, 1, 1, 1])
@@ -31,21 +30,22 @@ STRUCTURAL_SPECS = {
 
 
 def _big_factor(spec, p):
-    return factor_mod_p(reduce_poly(spec.char_poly(), p))[-1][0]
+    return list(factor_mod_p(spec.char_poly(), p)[-1][0])
 
 
 def _vandermonde_gamma1(spec, p):
-    """gamma1 solved over F_{p^(d-1)}, or None off the (d-1, 1) pattern."""
+    """gamma1 solved in F_p[x]/(g) = F_{p^(d-1)}, or None off the (d-1, 1) pattern."""
     d = spec.order
-    factors = factor_mod_p(reduce_poly(spec.char_poly(), p))
-    if [(g.degree, m) for g, m in factors] != [(1, 1), (d - 1, 1)]:
+    factors = factor_mod_p(spec.char_poly(), p)
+    if [(len(g) - 1, m) for g, m in factors] != [(1, 1), (d - 1, 1)]:
         return None
-    ext = ExtField(p, factors[1][0])
-    conj = [ext.gen()]
+    g = list(factors[1][0])
+    conj = [[0, 1]]  # x and its Frobenius images x^p, x^(p^2), ...
     for _ in range(d - 2):
-        conj.append(frobenius(conj[-1]))
-    roots = [ext.embed(-factors[0][0].coeffs[0])] + conj
-    return solve_gamma(roots, list(spec.init))[0].base_value()
+        conj.append(_pow_mod(conj[-1], p, g, p))
+    roots = [[-factors[0][0][0] % p]] + conj
+    gamma1 = solve_gamma(roots, list(spec.init), g, p)[0]
+    return gamma1[0] if gamma1 else 0
 
 
 def test_build_context_tribonacci_p7(tribonacci):
@@ -98,8 +98,11 @@ def test_context_invariants(tribonacci):
         assert ctx.q % (p - 1) == (d - 1) % (p - 1)
         assert (p - 1) % ctx.ord_base == 0
         # norm identity: (-1)^d c0 = a1 * N(theta), theta a root of the big factor
-        theta = ExtField(p, _big_factor(tribonacci, p)).gen()
-        assert ctx.nloc == ctx.root_base * ext_norm(theta) % p
+        g = _big_factor(tribonacci, p)
+        k = len(g) - 1
+        norm = _pow_mod([0, 1], (p**k - 1) // (p - 1), g, p)
+        assert len(norm) == 1, p  # N(theta) = theta^((p^k - 1)/(p - 1)) lies in F_p
+        assert ctx.nloc == ctx.root_base * norm[0] % p
         assert ctx.gamma1 != 0
         assert ctx.base != 0
 
@@ -206,13 +209,13 @@ def test_structural_nondivisor_full_scan():
 
 
 def test_detect_dispatch(tribonacci):
-    v = detect(tribonacci, 7)
+    v = detect_full(tribonacci, 7)[2]
     assert v.kind == "divisor" and v.method == "structural" and v.witness == 9
-    v = detect(tribonacci, 3)  # pattern {3}: brute path
+    v = detect_full(tribonacci, 3)[2]  # pattern {3}: brute path
     b = has_zero_bruteforce(tribonacci, 3, 10**7)
     assert v.kind == b.kind == "divisor" and v.witness == b.witness == 3
     assert v.method == "brute"
-    v = detect(tribonacci, 2)
+    v = detect_full(tribonacci, 2)[2]
     assert v.kind == "excluded" and v.reason == "ramified"
 
 
@@ -220,7 +223,7 @@ def test_detect_order_two_exclusions_and_brute_path():
     # x^2 - x - 3: c0 = -3, discriminant 13; 5 leaves it irreducible, 17 splits it
     spec = RecurrenceSpec((-3, -1), (1, 1))
     for p, reason in ((3, "divides-c0"), (13, "ramified")):
-        v = detect(spec, p)
+        v = detect_full(spec, p)[2]
         assert (v.kind, v.reason, v.detail) == ("excluded", reason, None), p
     for p in (5, 17):
         pat, ctx, v = detect_full(spec, p)
@@ -232,13 +235,13 @@ def test_detect_order_two_exclusions_and_brute_path():
 def test_detect_degenerate_zero_short_circuit():
     spec = RecurrenceSpec((-1, -1, -1), (1, 0, 4))  # a_1 = 0 exactly
     for p in (2, 3, 7, 11):
-        v = detect(spec, p)
+        v = detect_full(spec, p)[2]
         assert v.kind == "divisor" and v.method == "none" and v.witness == 1
 
 
 def test_detect_indeterminate_on_tiny_brute_cap(tribonacci):
     policy = DetectPolicy(brute_cap=1)
-    v = detect(tribonacci, 5, policy)  # pattern {3}, first zero is later
+    v = detect_full(tribonacci, 5, policy)[2]  # pattern {3}, first zero is later
     assert v.kind == "indeterminate" and v.method == "brute"
 
 
@@ -259,7 +262,7 @@ def test_every_divisor_verdict_carries_verified_witness(tribonacci):
     ]
     for spec in specs:
         for p in sieve_primes(200):
-            v = detect(spec, p)
+            v = detect_full(spec, p)[2]
             if v.kind == "divisor":
                 assert v.witness is not None
                 assert term_mod(spec, v.witness, p) == 0

@@ -8,29 +8,23 @@ from recdiv.arith import sieve_primes
 from recdiv.charpoly import expected_pattern_density
 from recdiv.demo import DEMO_SPEC
 from recdiv.fppoly import (
-    ExtField,
-    FpPoly,
+    _add,
     _ddf,
     _divmod,
     _gcd_poly,
     _mul,
     _pow_mod,
+    _rem,
+    _sub,
     _x_pow_mod,
-    ext_norm,
     factor_mod_p,
     fp_root,
-    frobenius,
     pattern,
-    reduce_poly,
     solve_gamma,
 )
 from recdiv.recurrence import term_mod
 
 from conftest import TRIB_POLY
-
-
-def _poly(coeffs, p):
-    return FpPoly.from_list(list(coeffs), p)
 
 
 def _is_squarefree(f, p):
@@ -41,36 +35,42 @@ def _is_squarefree(f, p):
     return bool(deriv) and _gcd_poly(f, deriv, p) == [1]
 
 
-def test_reduce_poly_examples():
-    assert reduce_poly(TRIB_POLY, 2).coeffs == (1, 1, 1, 1)
-    assert reduce_poly(TRIB_POLY, 7).coeffs == (6, 6, 6, 1)
-    assert reduce_poly([14, 7], 7).coeffs == ()  # 7x + 14 vanishes
+def _is_irreducible(g, p):
+    """Rabin's test: monic g of degree k >= 1 is irreducible over F_p exactly
+    when x^(p^k) = x mod g and gcd(x^(p^(k/q)) - x, g) = 1 for each prime q | k."""
+    k = len(g) - 1
+    x = _rem([0, 1], g, p)
+    if k < 1 or _pow_mod([0, 1], p**k, g, p) != x:
+        return False
+    primes = [q for q in range(2, k + 1) if k % q == 0 and all(q % r for r in range(2, q))]
+    return all(_gcd_poly(_sub(_pow_mod([0, 1], p ** (k // q), g, p), x, p), g, p) == [1] for q in primes)
 
 
 def test_factor_cube_of_linear_mod_2():
     # oracle: (x+1)^3 = x^3 + 3x^2 + 3x + 1 == x^3+x^2+x+1 mod 2
     cube = _mul(_mul([1, 1], [1, 1], 2), [1, 1], 2)
     assert cube == [1, 1, 1, 1]
-    assert factor_mod_p(_poly([1, 1, 1, 1], 2)) == [(_poly([1, 1], 2), 3)]
+    assert factor_mod_p([1, 1, 1, 1], 2) == [((1, 1), 3)]
 
 
 def test_factor_tribonacci_mod_7():
     # oracle: expand (x-3)(x^2+2x+5) mod 7 and compare
     assert _mul([4, 1], [5, 2, 1], 7) == [6, 6, 6, 1]
-    got = factor_mod_p(reduce_poly(TRIB_POLY, 7))
-    assert got == [(_poly([4, 1], 7), 1), (_poly([5, 2, 1], 7), 1)]
+    assert factor_mod_p(TRIB_POLY, 7) == [((4, 1), 1), ((5, 2, 1), 1)]
 
 
 def test_factor_tribonacci_mod_5_irreducible():
     # oracle: no root among 0..4, and a cubic with no roots is irreducible
     assert all(sum(c * x**i for i, c in enumerate(TRIB_POLY)) % 5 for x in range(5))
-    got = factor_mod_p(reduce_poly(TRIB_POLY, 5))
-    assert len(got) == 1 and got[0][0].degree == 3 and got[0][1] == 1
+    got = factor_mod_p(TRIB_POLY, 5)
+    assert len(got) == 1 and len(got[0][0]) - 1 == 3 and got[0][1] == 1
 
 
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
-        factor_mod_p(_poly([], 5))
+        factor_mod_p([], 5)
+    with pytest.raises(ValueError):
+        factor_mod_p([14, 7], 7)  # 7x + 14 vanishes mod 7
 
 
 def test_pattern_examples():
@@ -87,6 +87,18 @@ def test_pattern_examples():
 def test_pattern_rejects_vanishing_leading_coefficient():
     with pytest.raises(ValueError, match="pattern undefined"):
         pattern([1, 5], 5)
+
+
+def test_integer_prologue_errors_name_the_caller():
+    # pattern and fp_root share one prologue but keep their own messages
+    with pytest.raises(ValueError, match="root search undefined"):
+        fp_root([1, 5], 5)
+    for fn in (pattern, fp_root):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            fn([0, 0], 5)
+    # integer zeros above the leading coefficient are trimmed first
+    assert pattern([1, 1, 0], 5).degrees == (1,)
+    assert fp_root([1, 1, 0], 5) == 4
 
 
 def test_fp_root_examples():
@@ -187,91 +199,37 @@ def test_pattern_matches_sympy_factor_list(text):
         assert pat.root == root, p
 
 
-_F49 = ExtField(7, FpPoly.from_list([5, 2, 1], 7))
-
-
-def test_ext_field_rejects_reducible_modulus():
-    with pytest.raises(ValueError, match="not irreducible"):
-        ExtField(7, FpPoly.from_list([6, 6, 6, 1], 7))  # has root 3 mod 7
-
-
-def test_ext_norm_examples():
-    theta = _F49.gen()
-    # norm of a root of a monic quadratic is its constant term
-    assert ext_norm(theta) == 5
-    assert ext_norm(_F49.one()) == 1
-    # scalar norm is c^k
-    assert ext_norm(_F49.embed(3)) == 3**2 % 7
-
-
-def test_ext_norm_zero():
-    assert ext_norm(_F49.zero()) == 0
-
-
-def test_ext_norm_equals_product_of_conjugates():
-    for c in ([1, 1], [2, 3], [4, 6], [0, 5]):
-        a = _F49.elem(c)
-        prod = a * frobenius(a)
-        assert prod.is_base() and prod.base_value() == ext_norm(a)
-
-
-def test_frobenius_fixes_base_and_permutes_roots():
-    assert frobenius(_F49.embed(4)) == _F49.embed(4)
-    theta = _F49.gen()
-    img = frobenius(theta)
-    # image must be the other root of the modulus: check by evaluation
-    val = img * img + _F49.embed(2) * img + _F49.embed(5)
-    assert val.is_zero()
-    assert img != theta
-
-
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2))
-@settings(max_examples=100, deadline=None)
-def test_frobenius_power_is_identity(coeffs):
-    a = _F49.elem(coeffs)
-    assert frobenius(frobenius(a)) == a
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2),
-    st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2),
-)
-@settings(max_examples=200, deadline=None)
-def test_ext_norm_multiplicative(c1, c2):
-    a, b = _F49.elem(c1), _F49.elem(c2)
-    assert ext_norm(a * b) == ext_norm(a) * ext_norm(b) % 7
+_G49 = [5, 2, 1]  # x^2 + 2x + 5, irreducible mod 7: F_7[x]/(g) is F_49
+_THETA_7 = _pow_mod([0, 1], 7, _G49, 7)  # the Frobenius image of x, the other root of g
 
 
 def test_solve_gamma_geometric():
     # sequence 2 * 3^n: gamma = (2, 0) against roots (3, 5)
-    roots = [_F49.embed(3), _F49.embed(5)]
-    gammas = solve_gamma(roots, [2, 6])
-    assert [g.base_value() for g in gammas] == [2, 0]
+    assert solve_gamma([[3], [5]], [2, 6], _G49, 7) == [[2], []]
 
 
 def test_solve_gamma_power_sums():
     # power sums of x^3-x^2-x-1: e1=1, e2=-1, so p0=3, p1=1, p2=1+2=3
-    theta = _F49.gen()
-    roots = [_F49.embed(3), theta, frobenius(theta)]
-    gammas = solve_gamma(roots, [3, 1, 3])
-    assert all(g == _F49.one() for g in gammas)
+    # oracle for the Frobenius image: the roots of g sum to -2, so x^7 = -2 - x
+    assert _THETA_7 == [5, 6]
+    gammas = solve_gamma([[3], [0, 1], _THETA_7], [3, 1, 3], _G49, 7)
+    assert gammas == [[1], [1], [1]]
 
 
 def test_solve_gamma_reconstructs_tribonacci_mod_7(tribonacci):
-    theta = _F49.gen()
-    roots = [_F49.embed(3), theta, frobenius(theta)]
-    gammas = solve_gamma(roots, [1, 1, 1])
+    roots = [[3], [0, 1], _THETA_7]
+    gammas = solve_gamma(roots, [1, 1, 1], _G49, 7)
     for n in range(6):
-        acc = _F49.zero()
+        acc = []
         for g, r in zip(gammas, roots):
-            acc = acc + g * r**n
-        assert acc.is_base()
-        assert acc.base_value() == term_mod(tribonacci, n, 7)
+            acc = _add(acc, _rem(_mul(g, _pow_mod(r, n, _G49, 7), 7), _G49, 7), 7)
+        assert len(acc) <= 1  # the term lies in F_7
+        assert (acc[0] if acc else 0) == term_mod(tribonacci, n, 7)
 
 
 def test_solve_gamma_rejects_repeated_roots():
     with pytest.raises(ValueError, match="ramified"):
-        solve_gamma([_F49.embed(3), _F49.embed(3)], [1, 2])
+        solve_gamma([[3], [3]], [1, 2], _G49, 7)
 
 
 _PRIMES = sieve_primes(200)[2:]  # odd primes > 3 for random factoring
@@ -286,19 +244,19 @@ poly_strategy = st.tuples(
 @settings(max_examples=150, deadline=None)
 def test_factor_product_reconstructs_and_factors_irreducible(args):
     p, coeffs = args
-    f = FpPoly.from_list([c % p for c in coeffs], p)
-    if f.degree < 1:
+    f = [c % p for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if len(f) < 2:
         return
-    factors = factor_mod_p(f)
-    prod = [pow(f.coeffs[-1], 1, p)] if f.coeffs[-1] == 1 else [f.coeffs[-1]]
+    factors = factor_mod_p(coeffs, p)
+    prod = [f[-1]]
     for g, m in factors:
-        # certify irreducibility via the x^(p^e) == x criterion
-        field = ExtField(p, g)  # construction runs the certificate
-        assert field.degree == g.degree
+        assert _is_irreducible(list(g), p), g
         for _ in range(m):
-            prod = _mul(prod, list(g.coeffs), p)
-    assert prod == list(f.coeffs)
-    assert sum(g.degree * m for g, m in factors) == f.degree
+            prod = _mul(prod, list(g), p)
+    assert prod == f
+    assert sum((len(g) - 1) * m for g, m in factors) == len(f) - 1
 
 
 @given(poly_strategy)
@@ -311,9 +269,8 @@ def test_pattern_degrees_sum_and_squarefree_flag(args):
     deg = len(coeffs) - 1
     pat = pattern(coeffs, p)
     assert sum(pat.degrees) == deg
-    f = reduce_poly(coeffs, p)
-    assert pat.squarefree == _is_squarefree(list(f.coeffs), p)
-    full = sorted((g.degree for g, m in factor_mod_p(f) for _ in range(m)), reverse=True)
+    assert pat.squarefree == _is_squarefree([c % p for c in coeffs], p)
+    full = sorted((len(g) - 1 for g, m in factor_mod_p(coeffs, p) for _ in range(m)), reverse=True)
     assert pat.degrees == tuple(full)
     assert pat.root == (fp_root(coeffs, p) if full.count(1) == 1 else None)
 
@@ -358,3 +315,44 @@ def test_pattern_frequencies_coarse_chebotarev():
     for key, expect in (("1-1-1", 1 / 6), ("2-1", 1 / 2), ("3", 1 / 3)):
         assert abs(counts[key] / total - expect) < 0.1
         assert float(expected_pattern_density(3, [int(v) for v in key.split("-")])) == expect
+
+
+def _gauss_count(n, p):
+    """Number of monic irreducibles of degree n over F_p: sum_{d | n} mu(d) p^(n/d) / n."""
+
+    def mu(m):
+        sign, q = 1, 2
+        while m > 1:
+            if m % q == 0:
+                m //= q
+                if m % q == 0:
+                    return 0
+                sign = -sign
+            q += 1
+        return sign
+
+    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize(("p", "max_deg"), [(2, 8), (3, 6)])
+def test_every_small_monic_polynomial_factors_and_roots(p, max_deg):
+    # all monic f of degree <= max_deg: at p = 2 this splits blocks of two
+    # cubics and of two quartics with the trace map, and of several roots
+    for n in range(max_deg + 1):
+        irreducible = 0
+        for code in range(p**n):
+            f = [code // p**i % p for i in range(n)] + [1]
+            factors = factor_mod_p(f, p)
+            prod = [1]
+            for g, m in factors:
+                assert _is_irreducible(list(g), p), (f, g)
+                for _ in range(m):
+                    prod = _mul(prod, list(g), p)
+            assert prod == f, f
+            if factors == [(tuple(f), 1)]:
+                irreducible += 1
+            assert _is_irreducible(f, p) == (factors == [(tuple(f), 1)]), f
+            zeros = [x for x in range(p) if sum(c * x**i for i, c in enumerate(f)) % p == 0]
+            assert fp_root(f, p) == min(zeros, default=None), f
+        if n:
+            assert irreducible == _gauss_count(n, p), n

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from recdiv.detect import DetectPolicy, detect
+from recdiv.detect import DetectPolicy, detect_full
 from recdiv.recurrence import RecurrenceSpec
 from recdiv.sweep import (
     CSV_HEADER,
@@ -26,7 +26,7 @@ def test_rows_match_individual_detect(tribonacci, small_sweep):
     rows, _ = small_sweep
     assert [r.p for r in rows] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     for row in rows:
-        v = detect(tribonacci, row.p)
+        v = detect_full(tribonacci, row.p)[2]
         assert row.verdict == v.kind
         assert row.method == v.method
         assert row.witness == v.witness
