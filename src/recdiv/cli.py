@@ -29,16 +29,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
+    fields = [v.strip() for v in text.split(",")]
+    if "" in fields:
+        raise UsageError(f"{option} has an empty field: {text!r}")
     try:
-        return [int(v.strip()) for v in text.split(",") if v.strip() != ""]
+        return [int(v) for v in fields]
     except ValueError as exc:
-        raise UsageError(f"bad {what}: {text!r}") from exc
+        raise UsageError(f"bad {option}: {text!r}") from exc
 
 
 def _parse_poly(text: str) -> list[int]:
-    coeffs = _parse_ints(text, "polynomial")
-    if not coeffs or coeffs[0] != 1:
+    coeffs = _parse_ints(text, "--poly")
+    if coeffs[0] != 1:
         raise UsageError("characteristic polynomial must be monic")
     if len(coeffs) < 2:
         raise UsageError("--poly must have degree at least 1")
@@ -47,7 +50,7 @@ def _parse_poly(text: str) -> list[int]:
 
 def _make_spec(poly_text: str, init_text: str) -> RecurrenceSpec:
     poly = _parse_poly(poly_text)
-    init = _parse_ints(init_text, "initial terms")
+    init = _parse_ints(init_text, "--init")
     if len(init) != len(poly) - 1:
         raise UsageError(
             f"need {len(poly) - 1} initial terms for a degree-{len(poly) - 1} polynomial"
@@ -109,28 +112,28 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows, summary = run_sweep(config)
-    meta = summary.meta or {}
-    if meta.get("degenerate_zero_term"):
+    _, summary = run_sweep(config)
+    report = summary.to_json_dict()  # what --json writes
+    meta = report["meta"]
+    if meta["degenerate_zero_term"]:
         print("NOTE: degenerate run, the sequence has an exact zero term;")
         print("      every prime is a trivial divisor.")
-    hyp = meta.get("hypotheses", {})
-    if not hyp.get("all_verified", False):
+    hyp = meta["hypotheses"]
+    if not hyp["all_verified"]:
         print("NOTE: hypotheses unverified "
-              f"(irreducible={hyp.get('irreducible')}, "
-              f"nondegenerate={hyp.get('nondegenerate')}, "
-              f"symmetric group={hyp.get('sd_certified')})")
-    print(f"primes <= {args.limit}: {summary.excluded_total + summary.unexcluded_total}"
-          f" ({summary.excluded_total} excluded)")
-    for key in sorted(summary.patterns):
-        c = summary.patterns[key]
+              f"(irreducible={hyp['irreducible']}, "
+              f"nondegenerate={hyp['nondegenerate']}, "
+              f"symmetric group={hyp['sd_certified']})")
+    print(f"primes <= {args.limit}: {report['primes_total']}"
+          f" ({report['excluded_total']} excluded)")
+    for key, c in report["patterns"].items():
         print(
             f"  pattern {key:>9}: {c['total']:>7} primes"
-            f"  freq {summary.pattern_frequency(key):.4f}"
-            f"  divisor {summary.divisor_fraction(key):.4f}"
+            f"  freq {c['frequency']:.4f}"
+            f"  divisor {c['divisor_fraction']:.4f}"
             f"  indeterminate {c['indeterminate']}"
         )
-    frac = summary.overall_divisor_fraction
+    frac = report["overall_divisor_fraction"]
     if frac is not None:
         print(f"overall divisor fraction: {frac:.4f}")
     if args.csv:
@@ -165,7 +168,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_order_stats(args) -> int:
-    grid = _parse_ints(args.c_grid, "C grid")
+    grid = _parse_ints(args.c_grid, "--c-grid")
     if args.limit < MIN_LIMIT:
         raise UsageError(f"--limit must be at least {MIN_LIMIT}, got {args.limit}")
     if args.poly is not None:

@@ -18,6 +18,11 @@ sum_k g_k a_k / g(a1), because g annihilates every root but a1.
 Membership is the power test RHS^ord(G) = 1, one modular power per residue.
 On a hit the exponent k of the witness n = k*Q + r is the discrete log of
 RHS_r within <G>, found by baby-step giant-step in O(sqrt(ord G)) steps.
+
+detect_full decides one prime: a_n = 0 exactly for some n <= ZERO_SCAN_BOUND
+(exact_zeros, cached per sequence and read by the sweep's metadata too)
+makes it a trivial divisor; otherwise build_context excludes it or gives the
+structural context, and a pattern other than (d-1, 1) is brute-forced.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .recurrence import (
     zero_term_scan,
 )
 
-# Exact terms a_0..a_ZERO_SCAN_BOUND are searched for a zero (degenerate runs).
 ZERO_SCAN_BOUND = 200
 
 
@@ -45,7 +49,6 @@ class Excluded:
     """A prime the structural machinery refuses, with the reason."""
 
     reason: str
-    detail: str | None = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def build_context(
     if not pat.squarefree:
         return Excluded("ramified")
     if d < 3 or pat.degrees != (d - 1, 1):
-        return Excluded("pattern-mismatch", f"pattern {pat.key}")
+        return Excluded("pattern-mismatch")
     a1 = pat.root
     # g = char poly / (x - a1) by synthetic division, lowest degree first
     g = [1] * d
@@ -209,9 +212,9 @@ def structural_detect(
 
 
 @lru_cache(maxsize=64)
-def _first_exact_zero(spec: RecurrenceSpec, bound: int) -> int | None:
-    zeros = zero_term_scan(spec, bound)
-    return zeros[0] if zeros else None
+def exact_zeros(spec: RecurrenceSpec) -> tuple[int, ...]:
+    """Indices n <= ZERO_SCAN_BOUND with a_n = 0 over the integers."""
+    return tuple(zero_term_scan(spec, ZERO_SCAN_BOUND))
 
 
 def detect_full(
@@ -219,16 +222,16 @@ def detect_full(
 ):
     """(pattern, context or None, verdict); a pattern mismatch is brute-forced."""
     pat = pattern(spec.char_poly(), p)
-    zero_index = _first_exact_zero(spec, ZERO_SCAN_BOUND)
-    if zero_index is not None:
+    zeros = exact_zeros(spec)
+    if zeros:
         return pat, None, _verified_divisor(
-            spec, p, zero_index, "none", detail="degenerate: zero term"
+            spec, p, zeros[0], "none", detail="degenerate: zero term"
         )
     res = build_context(spec, p, pat)
     if isinstance(res, StructuralContext):
         return pat, res, structural_detect(res, spec, policy.r_cap)
     if res.reason != "pattern-mismatch":
-        return pat, None, Verdict("excluded", reason=res.reason, detail=res.detail)
+        return pat, None, Verdict("excluded", reason=res.reason)
     scan = has_zero_bruteforce(spec, p, policy.brute_cap)
     if scan.kind == "divisor":
         return pat, None, _verified_divisor(spec, p, scan.witness, "brute")

@@ -215,7 +215,6 @@ def _eval(a: list[int], x: int, p: int) -> int:
 class FactorPattern:
     """Multiset of irreducible factor degrees of a polynomial mod p."""
 
-    p: int
     degrees: tuple[int, ...]  # sorted descending, counted with multiplicity
     squarefree: bool
     root: int | None = None  # a if x - a is the only linear factor (with multiplicity)
@@ -308,7 +307,7 @@ def pattern(coeffs: list[int] | tuple[int, ...], p: int) -> FactorPattern:
     # a lone linear factor is the first block, x - root
     root = -blocks[0][0][0] % p if degrees.count(1) == 1 else None
     squarefree = len({e for _, e in blocks}) == len(blocks)
-    return FactorPattern(p, tuple(degrees), squarefree, root)
+    return FactorPattern(tuple(degrees), squarefree, root)
 
 
 def fp_root(coeffs: list[int] | tuple[int, ...], p: int) -> int | None:

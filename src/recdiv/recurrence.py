@@ -309,6 +309,8 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
     state_0 in lanes 1..BLOCK: each lane with a_{n+i} = a_0 is checked
     against the d-1 lanes after it. The blocks come from _scan_kernel; only
     a block with a missing zero or period bit reaches the lane search here.
+    Its least zero bit decides it: no zero or return lies below n = BLOCK,
+    so a zero z past a return P would repeat at z - P < BLOCK.
     An even p raises, since p^-1 mod 2^w would not exist, and so does
     p >= 2^64, which the 64-bit words of the packing cannot hold.
     """
@@ -340,23 +342,19 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
         rows.append([(a + top * k) % p for a, k in zip([0] + rows[-1][:-1], ks)])
     flat = [v for row in rows for v in row]
     blocks = _scan_kernel(d)(rows[0], flat, windows, p, cap, low, above, to_a0, zero_bits, period_bits)
+    capped = BruteResult("capped", steps=cap)
     for n, x in blocks:
         zeros = (x + above) & zero_bits ^ zero_bits
-        zero = period = None
-        if zeros:
+        if zeros:  # the least zero comes before any return in this block
             zero = n + ((zeros & -zeros).bit_length() - 1 - w) // shift
+            return BruteResult("divisor", witness=zero, steps=zero + 1) if zero < cap else capped
         starts = ((x + to_a0 & low) + above) & period_bits ^ period_bits
         while starts:
             i = ((starts & -starts).bit_length() - 1 - w) // shift
             if all(((x >> (i + k) * shift & mask) * p & mask) % p == s0[k] for k in range(1, d)):
-                period = n + i
-                break
+                return BruteResult("nondivisor", period=n + i, steps=n + i) if n + i <= cap else capped
             starts &= starts - 1
-        if zero is not None and zero < cap and (period is None or zero < period):
-            return BruteResult("divisor", witness=zero, steps=zero + 1)
-        if period is not None and period <= cap:  # any zero before it lies past cap
-            return BruteResult("nondivisor", period=period, steps=period)
-    return BruteResult("capped", steps=cap)
+    return capped
 
 
 def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:

@@ -1,27 +1,31 @@
 """Prime sweeps: orchestration, parallelism, aggregation, CSV/JSON output.
 
 Rows are computed independently per prime (all lower layers are pure), so
-the sweep partitions primes into contiguous blocks, farms the blocks out to
-worker processes, and merges results in prime order. Nothing on the sweep
-path is random, so output is byte identical across runs and worker counts;
-the config seed is only recorded in the JSON metadata.
+the sweep maps _block_rows over contiguous blocks of primes, with the builtin
+map or a process pool's, in prime order. The summary keeps counts; the CLI
+prints the densities from to_json_dict, the dict --json writes. Nothing on
+the sweep path is random, so output is byte identical across runs and worker
+counts; the config seed is only recorded in the JSON metadata.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from .arith import sieve_primes
 from .charpoly import analyze_poly
-from .detect import DEFAULT_POLICY, ZERO_SCAN_BOUND, DetectPolicy, detect_full
-from .recurrence import RecurrenceSpec, zero_term_scan
+from .detect import DEFAULT_POLICY, DetectPolicy, detect_full, exact_zeros
+from .recurrence import RecurrenceSpec
 
 # A sweep factors only p - 1, so its caps bound run time and column width:
 # limit^(d-1) < 2^63 keeps the Q column, (p^(d-1)-1)/(p-1), within 63 bits.
 MAX_LIMIT = 3_000_000
 MAX_ORDER = 5
+# A pool forks all its workers at its first submit, so their count is capped.
+MAX_WORKERS = 64
 _WORD_GUARD = 2**63
 
 CSV_HEADER = "p,pattern,squarefree,excluded_reason,verdict,method,witness_n,ord_G,index_G,Q"
@@ -32,9 +36,9 @@ class SweepConfig:
     """One sweep: the sequence, the prime bound, scan budgets, and output paths.
 
     Rejects, with a ValueError, an order or limit beyond the sweep guards,
-    a limit below 2, a worker count below 1, and an output path that is a
-    directory or whose directory does not exist, so a bad path fails before
-    the sweep runs.
+    a limit below 2, a worker count outside 1..MAX_WORKERS, and an output
+    path that is a directory or whose directory does not exist, so a bad
+    path fails before the sweep runs.
     """
 
     spec: RecurrenceSpec
@@ -53,8 +57,8 @@ class SweepConfig:
             raise ValueError(f"limit must be at least 2, the least prime, got {self.limit}")
         if self.limit > MAX_LIMIT or self.limit ** max(1, d - 1) >= _WORD_GUARD:
             raise ValueError(f"limit {self.limit} violates the sweep guard for order {d}")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}, got {self.workers}")
         for path in (self.csv_path, self.json_path):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"cannot write {path}: its directory does not exist")
@@ -78,31 +82,30 @@ class PrimeRow:
     q: int | None
 
 
-def _row_for_prime(spec: RecurrenceSpec, p: int, policy: DetectPolicy) -> PrimeRow:
-    try:
-        pat, ctx, v = detect_full(spec, p, policy)
-    except Exception as exc:
-        raise RuntimeError(f"p={p}, {spec.fingerprint()}: {exc}") from exc
-    ord_g = index_g = q = None
-    if ctx is not None:
-        ord_g, index_g, q = ctx.ord_base, ctx.index_base, ctx.q
-    return PrimeRow(
-        p=p,
-        pattern=pat.key,
-        squarefree=pat.squarefree,
-        reason=v.reason,
-        verdict=v.kind,
-        method=v.method,
-        witness=v.witness,
-        ord_g=ord_g,
-        index_g=index_g,
-        q=q,
-    )
-
-
 def _block_rows(args) -> list[PrimeRow]:
     spec, primes, policy = args
-    return [_row_for_prime(spec, p, policy) for p in primes]
+    rows = []
+    for p in primes:
+        try:
+            pat, ctx, v = detect_full(spec, p, policy)
+        except Exception as exc:
+            raise RuntimeError(f"p={p}, {spec.fingerprint()}: {exc}") from exc
+        ord_g = index_g = q = None
+        if ctx is not None:
+            ord_g, index_g, q = ctx.ord_base, ctx.index_base, ctx.q
+        rows.append(PrimeRow(
+            p=p,
+            pattern=pat.key,
+            squarefree=pat.squarefree,
+            reason=v.reason,
+            verdict=v.kind,
+            method=v.method,
+            witness=v.witness,
+            ord_g=ord_g,
+            index_g=index_g,
+            q=q,
+        ))
+    return rows
 
 
 _COUNT_KEYS = ("total", "divisor", "nondivisor", "indeterminate")
@@ -147,13 +150,6 @@ class SweepSummary:
     @property
     def divisor_total(self) -> int:
         return sum(c["divisor"] for c in self.patterns.values())
-
-    def pattern_frequency(self, key: str) -> float:
-        return self.patterns[key]["total"] / self.unexcluded_total
-
-    def divisor_fraction(self, key: str) -> float:
-        c = self.patterns[key]
-        return c["divisor"] / c["total"]
 
     @property
     def overall_divisor_fraction(self) -> float | None:
@@ -229,20 +225,18 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
     policy = config.policy
     profile = analyze_poly(list(spec.char_poly()))
     primes = sieve_primes(config.limit)
-    if config.workers > 1 and len(primes) >= 4 * config.workers:
-        # imported here: serial sweeps and the other commands never start a pool
-        from concurrent.futures import ProcessPoolExecutor
+    size = max(32, -(-len(primes) // (config.workers * 8)))
+    blocks = [(spec, primes[i : i + size], policy) for i in range(0, len(primes), size)]
+    with ExitStack() as stack:
+        mapper = map
+        if config.workers > 1 and len(primes) >= 4 * config.workers:
+            # imported here: serial sweeps and the other commands never start a pool
+            from concurrent.futures import ProcessPoolExecutor
 
-        size = max(32, -(-len(primes) // (config.workers * 8)))
-        blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        rows = []
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for block in pool.map(_block_rows, [(spec, b, policy) for b in blocks]):
-                rows.extend(block)
-    else:
-        rows = [_row_for_prime(spec, p, policy) for p in primes]
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers)).map
+        rows = [row for block in mapper(_block_rows, blocks) for row in block]
     summary = summarize_rows(spec.fingerprint(), rows)
-    zeros = zero_term_scan(spec, ZERO_SCAN_BOUND)
+    zeros = exact_zeros(spec)
     summary.meta = {
         "coeffs": list(spec.coeffs),
         "init": list(spec.init),
@@ -251,7 +245,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
         "r_cap": policy.r_cap,
         "brute_cap": policy.brute_cap,
         "degenerate_zero_term": bool(zeros),
-        "zero_term_indices": zeros[:10],
+        "zero_term_indices": list(zeros[:10]),
         "hypotheses": {
             "discriminant": profile.discriminant,
             "irreducible": profile.irreducible,

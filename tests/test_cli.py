@@ -275,3 +275,39 @@ def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monk
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and path in err
+
+
+@pytest.mark.parametrize("field", ["1,,2", "1,2,"])
+@pytest.mark.parametrize(
+    "option, args",
+    [
+        ("--poly", ["detect", "--init", "1,1", "-p", "7", "--poly"]),
+        ("--init", ["detect", "--poly", "1,-1,-1,-1", "-p", "7", "--init"]),
+        ("--c-grid", ["order-stats", "--base", "2", "--limit", "100", "--c-grid"]),
+    ],
+)
+def test_empty_list_field_is_usage_error(capsys, option, args, field):
+    # an empty field was once dropped, so 1,,-1,-1,-1 ran as Tribonacci
+    assert cli([*args, field]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option in err and repr(field) in err
+
+
+@pytest.mark.parametrize("workers", [65, 10**9])
+def test_worker_count_above_cap_is_usage_error(capsys, monkeypatch, tribonacci, workers):
+    # the count is checked when the config is built, so no pool is ever started
+    import recdiv.cli
+    from recdiv.sweep import MAX_WORKERS, SweepConfig
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the worker count was checked")
+
+    monkeypatch.setattr(recdiv.cli, "run_sweep", no_sweep)
+    assert SweepConfig(spec=tribonacci, limit=100, workers=MAX_WORKERS).workers == 64
+    with pytest.raises(ValueError, match=f"between 1 and 64, got {workers}"):
+        SweepConfig(spec=tribonacci, limit=100, workers=workers)
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "100",
+              "--workers", str(workers)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {workers}" in err

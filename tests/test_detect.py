@@ -301,3 +301,30 @@ def test_demo_base_table_and_check():
     for r in rows:
         if r.base is not None:
             assert r.expected == expected_base(r.p)
+
+
+def test_structural_and_brute_agree_on_sampled_primes():
+    # every 97th prime in (1e4, 1e5], orders 3-5: wherever the brute scan
+    # decides, it agrees with the structural verdict and its least witness
+    # is at most the structural one
+    primes = [p for p in sieve_primes(10**5) if p > 10**4][::97]
+    r_cap = DetectPolicy().r_cap
+    specs = {
+        name: STRUCTURAL_SPECS[name]
+        for name in ("tribonacci", "tetranacci", "pentanacci", "x^3-2", "x^5-x-1")
+    }
+    for name, spec in specs.items():
+        compared = 0
+        for p in primes:
+            ctx = build_context(spec, p)
+            if isinstance(ctx, Excluded):
+                continue
+            sv = structural_detect(ctx, spec, r_cap)
+            bv = has_zero_bruteforce(spec, p, 10**6)
+            if bv.kind == "capped":
+                continue
+            assert sv.kind == bv.kind, (name, p)
+            if bv.kind == "divisor":
+                assert bv.witness <= sv.witness, (name, p)
+            compared += 1
+        assert compared >= 10, name
