@@ -18,7 +18,7 @@ from .detect import (
     structural_detect,
 )
 from .fppoly import FactorPattern, fp_root, pattern
-from .orderstats import OrderRow, artin_fraction, index_histogram, root_order_row
+from .orderstats import OrderRow, artin_fraction, index_histogram
 from .recurrence import (
     RecurrenceSpec,
     has_zero_bruteforce,

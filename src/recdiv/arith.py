@@ -4,21 +4,19 @@ Everything in this module is deterministic. Primality is a lookup among the
 sieved primes up to _TRIAL_BOUND and fixed Miller-Rabin witness sets above
 it, exact for all n < 2**64. factor_integer runs trial division by small
 primes followed by Brent-cycle Pollard rho with a fixed parameter schedule,
-so repeated runs give identical results. A run over every prime up to a
-bound factors each p - 1 with odd_prime_totients instead, from one table of
-smallest prime factors. Python integers are arbitrary precision, so
-intermediate products never overflow.
+so repeated runs give identical results. factor_integer and mult_order
+serve one prime at a time, such as the structural detector's base order;
+the order statistics over every prime up to a bound factor no p - 1 (see
+orderstats). Python integers are arbitrary precision, so intermediate
+products never overflow.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 
 # Trial division bound used before switching to Pollard rho; is_prime looks
 # n up among the sieved primes up to this bound.
@@ -170,47 +168,6 @@ def factor_integer(n: int) -> FactoredInteger:
     if n > 1:
         _factor_into(n, found)
     return FactoredInteger(value, tuple(sorted(found.items())))
-
-
-def _odd_spf_table(limit: int, primes: list[int]) -> array:
-    """Smallest prime factor of each odd m <= limit // 2, stored at index m // 2.
-
-    0 marks m prime (and m = 1). primes must hold every prime up to
-    isqrt(limit). Each odd one, q, writes q over its odd multiples from q*q
-    on, largest q first, so the smallest factor is written last. Entries are
-    16 bits wide while isqrt(limit) < 2**16, 32 bits above that.
-    """
-    size = limit // 4 + 1  # indices of the odd m <= limit // 2
-    root = math.isqrt(limit)
-    table = array("H" if root < 2**16 else "I", [0]) * size
-    for q in reversed(primes[1 : bisect_right(primes, root)]):
-        start = q * q // 2
-        table[start::q] = array(table.typecode, [q]) * len(range(start, size, q))
-    return table
-
-
-def odd_prime_totients(limit: int) -> Iterator[tuple[int, FactoredInteger]]:
-    """(p, FactoredInteger(p - 1)) for each odd prime p <= limit, ascending.
-
-    The 2s of p - 1 come off with a bit trick; the odd part m is walked down
-    the table of smallest prime factors, so no trial division or rho runs.
-    """
-    primes = sieve_primes(limit)
-    table = _odd_spf_table(limit, primes)
-    for p in islice(primes, 1, None):
-        n = p - 1
-        twos = (n & -n).bit_length() - 1
-        m = n >> twos
-        factors = [(2, twos)]
-        while m > 1:
-            q = table[m >> 1] or m
-            m //= q
-            e = 1
-            while m % q == 0:
-                m //= q
-                e += 1
-            factors.append((q, e))
-        yield p, FactoredInteger(n, tuple(factors))
 
 
 def mult_order(a: int, p: int, totient: FactoredInteger | None = None) -> int:

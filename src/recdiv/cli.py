@@ -169,6 +169,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_order_stats(args) -> int:
     grid = _parse_ints(args.c_grid, "--c-grid")
+    if min(grid) < 1:  # every index is at least 1
+        raise UsageError(f"--c-grid values must be at least 1, got {args.c_grid!r}")
     if args.limit < MIN_LIMIT:
         raise UsageError(f"--limit must be at least {MIN_LIMIT}, got {args.limit}")
     if args.poly is not None:

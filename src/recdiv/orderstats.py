@@ -11,20 +11,25 @@ p = 2 is skipped everywhere here: its unit group is trivial, so a row at 2
 carries no order information, and skipping it keeps the base-a fraction and
 the histogram of x - a in exact agreement.
 
-A run over all primes up to a limit takes each factorization of p - 1 from
-arith.odd_prime_totients, which reads them off one table of smallest prime
-factors, and counts the histogram in one pass over the rows.
+A run over all primes up to a limit factors no p - 1. It sieves the index
+over prime powers instead: in the cyclic group F_p^*, q^k divides the index
+of a root r exactly when r^((p-1)/q^k) == 1. So for each prime q, one power
+test per root at each p == 1 mod q decides whether q divides the index, and
+only the roots that pass go on to the test at q^(k+1). Roots and indices
+live in two flat arrays indexed by p >> 1.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 
-from .arith import mult_order, odd_prime_totients, sieve_primes
+from .arith import sieve_primes
 from .charpoly import _disc, _ipoly
 from .detect import Excluded, build_context
 from .fppoly import fp_root
@@ -49,63 +54,81 @@ class OrderRow:
             raise ValueError("root does not have the claimed order")
 
 
-def root_order_row(coeffs, p: int, totient=None) -> OrderRow | None:
-    """Row for the smallest root of the polynomial mod p, or None.
-
-    None when the polynomial has no root mod p, when the root is 0 (the
-    prime divides the constant term, an excluded prime), or at p = 2.
-    The caller is expected to have screened out primes dividing the leading
-    coefficient or the discriminant.
-    """
-    if p == 2:
-        return None
-    root = fp_root(coeffs, p)
-    if root is None or root == 0:
-        return None
-    order = mult_order(root, p, totient)
-    return OrderRow(p, root, order, (p - 1) // order)
-
-
 class NoQualifyingPrimes(ValueError):
     """No prime up to the limit gives an order row, so there is nothing to count."""
 
 
-def _histogram(rows: list[OrderRow], c_grid) -> list[tuple[int, Fraction]]:
-    if not rows:
+def _histogram(counts: Counter, c_grid) -> list[tuple[int, Fraction]]:
+    if not counts:
         raise NoQualifyingPrimes("no qualifying primes")
-    counts = Counter(r.index for r in rows)
     indices = sorted(counts)
     at_most = [0, *accumulate(counts[i] for i in indices)]  # [k]: index <= indices[k - 1]
-    total = len(rows)
+    total = at_most[-1]
     return [(c, Fraction(at_most[bisect_right(indices, c)], total)) for c in c_grid]
 
 
-def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
-    """Order rows over all qualifying primes up to limit."""
+def _root_indices(coeffs, limit: int) -> Iterator[tuple[int, int, int]]:
+    """(p, root, index) at each qualifying prime up to limit, ascending.
+
+    A prime qualifies when it is odd, divides neither the leading
+    coefficient nor the discriminant, and the polynomial has a nonzero root
+    mod p; root is the smallest one. roots[p >> 1] holds it, or 0 where p
+    does not qualify. Each row is checked before it is yielded: order times
+    index must equal p - 1, and root^order must be 1 mod p.
+    """
     poly = _ipoly(coeffs)
     if len(poly) < 2:
         raise ValueError("need a nonconstant polynomial")
     lead = poly[-1]
     disc = _disc(poly)
-    rows = []
-    for p, totient in odd_prime_totients(limit):
-        if lead % p == 0 or disc % p == 0:
-            continue
-        row = root_order_row(poly, p, totient)
-        if row is not None:
-            rows.append(row)
-    return rows
+    primes = sieve_primes(limit)
+    roots = array("I", [0]) * (limit // 2 + 1)
+    for p in islice(primes, 1, None):
+        if lead % p and disc % p:
+            roots[p >> 1] = fp_root(poly, p) or 0
+    index = array("I", [1]) * len(roots)
+    odd = range(1, limit + 1, 2)
+    for q in primes:
+        if q == 2:
+            level = compress(odd, roots)
+        elif 2 * q < limit:  # the least odd p == 1 mod q is 2q + 1
+            # the p == 1 mod 2q sit at p >> 1 = 0, q, 2q, ...
+            level = compress(odd[::q], roots[::q])
+        else:
+            break
+        qk = q
+        while level:
+            step = qk * q
+            carry = []
+            for p in level:
+                if pow(roots[p >> 1], (p - 1) // qk, p) == 1:
+                    index[p >> 1] *= q
+                    if (p - 1) % step == 0:
+                        carry.append(p)
+            level, qk = carry, step
+    for p in compress(odd, roots):
+        root = roots[p >> 1]
+        k = index[p >> 1]
+        order = (p - 1) // k
+        if order * k != p - 1 or pow(root, order, p) != 1:
+            raise RuntimeError(f"root {root} of {poly} mod p={p} does not have index {k}")
+        yield p, root, k
+
+
+def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
+    """Order rows over all qualifying primes up to limit."""
+    return [OrderRow(p, root, (p - 1) // k, k) for p, root, k in _root_indices(coeffs, limit)]
 
 
 def index_histogram(coeffs, limit: int, c_grid) -> list[tuple[int, Fraction]]:
-    """For each C in the grid, the fraction of rows with index <= C.
+    """For each C in the grid, the fraction of qualifying primes with index <= C.
 
     Fractions are exact and nondecreasing in C, reaching 1 once C passes
     the largest observed index.
     """
     if limit < MIN_LIMIT:
         raise ValueError(f"limit must be at least {MIN_LIMIT}")
-    return _histogram(collect_order_rows(coeffs, limit), c_grid)
+    return _histogram(Counter(k for _, _, k in _root_indices(coeffs, limit)), c_grid)
 
 
 def artin_fraction(a: int, limit: int) -> Fraction:
@@ -136,4 +159,4 @@ def base_order_rows(spec: RecurrenceSpec, limit: int) -> list[OrderRow]:
 
 def base_index_histogram(spec: RecurrenceSpec, limit: int, c_grid) -> list[tuple[int, Fraction]]:
     """Index histogram for the structural base G."""
-    return _histogram(base_order_rows(spec, limit), c_grid)
+    return _histogram(Counter(r.index for r in base_order_rows(spec, limit)), c_grid)

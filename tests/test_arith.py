@@ -11,7 +11,6 @@ from recdiv.arith import (
     factor_integer,
     is_prime,
     mult_order,
-    odd_prime_totients,
     sieve_primes,
 )
 
@@ -103,21 +102,6 @@ def test_factor_hard_semiprime():
     p, q = 2147483647, 2147483629
     f = factor_integer(p * q)
     assert f.factors == ((q, 1), (p, 1))
-
-
-def test_odd_prime_totients_match_factor_integer_to_2e5():
-    odd_primes = sieve_primes(2 * 10**5)[1:]
-    got = list(odd_prime_totients(2 * 10**5))
-    assert got == [(p, factor_integer(p - 1)) for p in odd_primes]
-
-
-@pytest.mark.parametrize("limit", [1, 2, 3, 4, 7, 9, 25, 49, 961, 65519, 65521])
-def test_odd_prime_totients_edge_limits(limit):
-    # squares of odd primes at the edge of the sieve; prime limits p = 3 mod 4,
-    # whose odd part (p - 1) / 2 is the last entry of the table
-    odd_primes = sieve_primes(limit)[1:]
-    got = list(odd_prime_totients(limit))
-    assert got == [(p, factor_integer(p - 1)) for p in odd_primes]
 
 
 def test_mult_order_examples():

@@ -143,6 +143,20 @@ def test_order_stats_without_qualifying_primes_is_usage_error(capsys, args, mess
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("grid", ["0,-3", "1,0", "-1"])
+def test_order_stats_c_grid_below_one_is_usage_error(capsys, monkeypatch, grid):
+    # no index is below 1, so such a C would only print a 0/1 row
+    import recdiv.cli
+
+    def no_scan(*args):
+        raise AssertionError("scanned before rejecting the grid")
+
+    monkeypatch.setattr(recdiv.cli, "index_histogram", no_scan)
+    assert cli(["order-stats", "--base", "2", "--limit", "100", "--c-grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--c-grid" in err and repr(grid) in err
+
+
 def test_order_stats_poly(capsys):
     rc = cli(["order-stats", "--poly", "1,-1,-1,-1", "--limit", "2000", "--c-grid", "1,8"])
     assert rc == 0

@@ -2,28 +2,76 @@ from fractions import Fraction
 
 import pytest
 
-from recdiv.arith import mult_order, sieve_primes
+from recdiv.arith import factor_integer, mult_order, sieve_primes
+from recdiv.charpoly import _disc
+from recdiv.fppoly import fp_root
 from recdiv.orderstats import (
     OrderRow,
     artin_fraction,
     base_index_histogram,
     collect_order_rows,
     index_histogram,
-    root_order_row,
 )
 
 from conftest import TRIB_POLY
 
 
+def root_order_row(coeffs, p: int) -> OrderRow | None:
+    """Per-prime oracle: the row for the smallest root mod p, or None.
+
+    The order comes from mult_order over a factored p - 1, not from the
+    prime-power sieve. None at p = 2, where P has no root mod p, or where
+    the root is 0; the caller screens out primes dividing the leading
+    coefficient or the discriminant.
+    """
+    if p == 2:
+        return None
+    root = fp_root(coeffs, p)
+    if root is None or root == 0:
+        return None
+    order = mult_order(root, p, factor_integer(p - 1))
+    return OrderRow(p, root, order, (p - 1) // order)
+
+
+def _oracle_rows(coeffs, limit: int) -> list[OrderRow]:
+    lead, disc = coeffs[-1], _disc(list(coeffs))
+    rows = (root_order_row(coeffs, p) for p in sieve_primes(limit) if lead % p and disc % p)
+    return [r for r in rows if r is not None]
+
+
 def test_row_examples():
     # oracle: 2^3 == 1 mod 7, and 2 generates mod 11
     assert pow(2, 3, 7) == 1
-    assert root_order_row([-2, 1], 7) == OrderRow(7, 2, 3, 2)
     assert sorted(pow(2, e, 11) for e in range(1, 11)) == list(range(1, 11))
-    assert root_order_row([-2, 1], 11) == OrderRow(11, 2, 10, 1)
-    assert root_order_row(TRIB_POLY, 5) is None  # no root mod 5
-    assert root_order_row([-2, 1], 2) is None  # p = 2 carries no order data
-    assert root_order_row([-7, 1], 7) is None  # root 0: p divides P(0)
+    rows = {r.p: r for r in collect_order_rows([-2, 1], 11)}
+    assert rows[7] == OrderRow(7, 2, 3, 2)
+    assert rows[11] == OrderRow(11, 2, 10, 1)
+    assert 2 not in rows  # p = 2 carries no order data
+    assert 5 not in {r.p for r in collect_order_rows(TRIB_POLY, 11)}  # no root mod 5
+    assert 7 not in {r.p for r in collect_order_rows([-7, 1], 11)}  # root 0: p divides P(0)
+    # at p = 3 the root 1 of x - 1 has index 2, the prime below every 2q + 1
+    assert collect_order_rows([-1, 1], 3) == [OrderRow(3, 1, 1, 2)]
+
+
+# x - 2, x + 3, 2x - 3, Tribonacci (up to three roots mod p), x^3 - 2, and
+# x + 1, whose root -1 has index (p - 1) / 2: at p = 2q + 1 only the test at
+# q finds it
+ORACLE_POLYS = ([-2, 1], [3, 1], [-3, 2], TRIB_POLY, [-2, 0, 0, 1], [1, 1])
+
+
+@pytest.mark.parametrize("coeffs", ORACLE_POLYS)
+@pytest.mark.parametrize("limit", [3, 4, 5, 7, 100, 101, 102, 103, 107, 2 * 10**4, 65521])
+def test_sieved_rows_match_per_prime_orders(coeffs, limit):
+    # limits around 2q + 1, where the sieve stops taking primes q, and around primes
+    got = collect_order_rows(coeffs, limit)
+    assert got == _oracle_rows(coeffs, limit)
+
+
+def test_oracle_limit_reaches_prime_power_indices():
+    # q^k with k >= 2 divides the index at some p == 1 mod 8, 9 and 25 below 2e4
+    indices = [r.index for coeffs in ORACLE_POLYS for r in collect_order_rows(coeffs, 2 * 10**4)]
+    for qk in (4, 8, 9, 25):
+        assert any(k % qk == 0 for k in indices), qk
 
 
 def test_row_validation():
