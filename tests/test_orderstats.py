@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from recdiv.arith import factor_integer, mult_order, sieve_primes
-from recdiv.charpoly import _disc
+from recdiv.charpoly import discriminant
 from recdiv.fppoly import fp_root
 from recdiv.orderstats import (
     OrderRow,
@@ -34,7 +34,7 @@ def root_order_row(coeffs, p: int) -> OrderRow | None:
 
 
 def _oracle_rows(coeffs, limit: int) -> list[OrderRow]:
-    lead, disc = coeffs[-1], _disc(list(coeffs))
+    lead, disc = coeffs[-1], discriminant(coeffs) if len(coeffs) > 2 else 1
     rows = (root_order_row(coeffs, p) for p in sieve_primes(limit) if lead % p and disc % p)
     return [r for r in rows if r is not None]
 
@@ -49,7 +49,7 @@ def test_row_examples():
     assert 2 not in rows  # p = 2 carries no order data
     assert 5 not in {r.p for r in collect_order_rows(TRIB_POLY, 11)}  # no root mod 5
     assert 7 not in {r.p for r in collect_order_rows([-7, 1], 11)}  # root 0: p divides P(0)
-    # at p = 3 the root 1 of x - 1 has index 2, the prime below every 2q + 1
+    # the root 1 of x - 1 has index 2 at p = 3, below every 2q + 1 for odd q
     assert collect_order_rows([-1, 1], 3) == [OrderRow(3, 1, 1, 2)]
 
 
