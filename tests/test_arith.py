@@ -13,6 +13,7 @@ from recdiv.arith import (
     mult_order,
     sieve_primes,
 )
+from recdiv.orderstats import collect_order_rows
 
 
 def _trial_is_prime(n: int) -> bool:
@@ -102,6 +103,17 @@ def test_factor_hard_semiprime():
     p, q = 2147483647, 2147483629
     f = factor_integer(p * q)
     assert f.factors == ((q, 1), (p, 1))
+
+
+def test_odd_prime_totients_match_factor_integer_to_2e5():
+    # the order-stats index sieve splits the totient p - 1 of every odd prime
+    # into order * index without factoring it; for base 2 every odd prime
+    # qualifies, and each split must match mult_order over factor_integer(p - 1)
+    rows = collect_order_rows([-2, 1], 2 * 10**5)
+    assert [r.p for r in rows] == sieve_primes(2 * 10**5)[1:]
+    for r in rows:
+        order = mult_order(2, r.p, factor_integer(r.p - 1))
+        assert (r.root, r.order, r.index) == (2, order, (r.p - 1) // order)
 
 
 def test_mult_order_examples():
