@@ -15,7 +15,7 @@ from .arith import is_prime
 from .charpoly import PrimeBudgetTooLarge, analyze_poly
 from .demo import DEMO_SPEC, base_table
 from .detect import DEFAULT_POLICY, DetectPolicy, detect_full
-from .orderstats import MIN_LIMIT, NoQualifyingPrimes, index_histogram
+from .orderstats import MAX_LIMIT, MIN_LIMIT, NoQualifyingPrimes, index_histogram
 from .recurrence import RecurrenceSpec
 from .sweep import SweepConfig, run_sweep
 
@@ -173,6 +173,8 @@ def _cmd_order_stats(args) -> int:
         raise UsageError(f"--c-grid values must be at least 1, got {args.c_grid!r}")
     if args.limit < MIN_LIMIT:
         raise UsageError(f"--limit must be at least {MIN_LIMIT}, got {args.limit}")
+    if args.limit > MAX_LIMIT:
+        raise UsageError(f"--limit must be at most {MAX_LIMIT}, got {args.limit}")
     if args.poly is not None:
         poly = list(reversed(_parse_poly(args.poly)))
     else:

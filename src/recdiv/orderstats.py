@@ -17,6 +17,18 @@ of a root r exactly when r^((p-1)/q^k) == 1. So for each prime q, one power
 test per root at each p == 1 mod q decides whether q divides the index, and
 only the roots that pass go on to the test at q^(k+1). Roots and indices
 live in two flat arrays indexed by p >> 1.
+
+A linear c1 x + c0, as for every fixed base a, has the one root
+r = -c0 / c1 at each prime, so its roots are filled from that formula. Its
+test at q = 2 mostly reuses answers: r = n / c1^2 with n = -c0 c1, so r is
+a square mod p exactly when n is, and by quadratic reciprocity the Legendre
+symbol (n/p) depends only on p mod 4|n|: (-1/p) on p mod 4, (2/p) on p mod
+8, and (m/p) for odd m on p mod 4|m|. One power at the first prime of each
+class decides the whole class. The modulus must be 4|n|, not 2|n|: for
+n = 2, p = 3 and p = 7 share a class mod 4, yet 2 is a square mod 7 only.
+Once 4|n| reaches the limit no two primes share a class, so that level
+keeps one power per prime. The deeper 2-power levels and every odd q are
+tested per prime as above.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .fppoly import fp_root
 from .recurrence import RecurrenceSpec
 
 MIN_LIMIT = 100  # the smallest prime bound index_histogram accepts
+MAX_LIMIT = 10**7  # the largest prime bound: memory grows with it (README, Guards)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +80,27 @@ def _histogram(counts: Counter, c_grid) -> list[tuple[int, Fraction]]:
     return [(c, Fraction(at_most[bisect_right(indices, c)], total)) for c in c_grid]
 
 
+def _square_roots(poly, roots, level, limit: int) -> Iterator[int]:
+    """The primes p of level whose root is a square mod p, in level's order.
+
+    Euler's criterion decides each: r is a square when r^((p-1)/2) == 1.
+    For c1 x + c0, the class of p mod 4|c0 c1| decides it (module docstring),
+    so below the limit one power per class is taken and reused.
+    """
+    classes = 4 * abs(poly[0] * poly[1]) if len(poly) == 2 else limit
+    if classes >= limit:  # no two primes up to the limit share a class
+        yield from (p for p in level if pow(roots[p >> 1], p >> 1, p) == 1)
+        return
+    square = {}  # class -> whether the root is a square there
+    for p in level:
+        c = p % classes
+        s = square.get(c)
+        if s is None:
+            s = square[c] = pow(roots[p >> 1], p >> 1, p) == 1
+        if s:
+            yield p
+
+
 def _root_indices(coeffs, limit: int) -> Iterator[tuple[int, int, int]]:
     """(p, root, index) at each qualifying prime up to limit, ascending.
 
@@ -79,33 +113,44 @@ def _root_indices(coeffs, limit: int) -> Iterator[tuple[int, int, int]]:
     poly = _ipoly(coeffs)
     if len(poly) < 2:
         raise ValueError("need a nonconstant polynomial")
-    lead = poly[-1]
-    disc = _disc(poly)
+    if limit > MAX_LIMIT:
+        raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
     primes = sieve_primes(limit)
     roots = array("I", [0]) * (limit // 2 + 1)
-    for p in islice(primes, 1, None):
-        if lead % p and disc % p:
-            roots[p >> 1] = fp_root(poly, p) or 0
+    if len(poly) == 2:  # the one root -c0 / c1, 0 where p divides c0
+        c0, c1 = poly
+        for p in islice(primes, 1, None):
+            if c1 % p:
+                roots[p >> 1] = -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
+    else:
+        lead = poly[-1]
+        disc = _disc(poly)
+        for p in islice(primes, 1, None):
+            if lead % p and disc % p:
+                roots[p >> 1] = fp_root(poly, p) or 0
     index = array("I", [1]) * len(roots)
     odd = range(1, limit + 1, 2)
     for q in primes:
+        # hits: the primes of the level at q^k whose root is a q^k-th power
         if q == 2:
-            level = compress(odd, roots)
+            hits = _square_roots(poly, roots, compress(odd, roots), limit)
         elif 2 * q < limit:  # the least odd p == 1 mod q is 2q + 1
             # the p == 1 mod 2q sit at p >> 1 = 0, q, 2q, ...
             level = compress(odd[::q], roots[::q])
+            hits = (p for p in level if pow(roots[p >> 1], (p - 1) // q, p) == 1)
         else:
             break
         qk = q
-        while level:
-            step = qk * q
-            carry = []
-            for p in level:
-                if pow(roots[p >> 1], (p - 1) // qk, p) == 1:
-                    index[p >> 1] *= q
-                    if (p - 1) % step == 0:
-                        carry.append(p)
-            level, qk = carry, step
+        while True:
+            qk *= q
+            level = []
+            for p in hits:
+                index[p >> 1] *= q
+                if (p - 1) % qk == 0:
+                    level.append(p)
+            if not level:
+                break
+            hits = [p for p in level if pow(roots[p >> 1], (p - 1) // qk, p) == 1]
     for p in compress(odd, roots):
         root = roots[p >> 1]
         k = index[p >> 1]

@@ -229,11 +229,13 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
     blocks = [(spec, primes[i : i + size], policy) for i in range(0, len(primes), size)]
     with ExitStack() as stack:
         mapper = map
-        if config.workers > 1 and len(primes) >= 4 * config.workers:
-            # imported here: serial sweeps and the other commands never start a pool
+        workers = min(config.workers, len(blocks))
+        if workers > 1:
+            # imported here: serial sweeps, one-block sweeps and the other
+            # commands never start a pool
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers)).map
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         rows = [row for block in mapper(_block_rows, blocks) for row in block]
     summary = summarize_rows(spec.fingerprint(), rows)
     zeros = exact_zeros(spec)

@@ -130,6 +130,21 @@ def test_order_stats_limit_below_minimum_is_usage_error(capsys, monkeypatch):
         assert err.startswith("error:") and "--limit must be at least 100" in err
 
 
+def test_order_stats_limit_above_cap_is_usage_error(capsys, monkeypatch):
+    # memory grows with the limit, so the cap is checked before the sieve runs
+    import recdiv.orderstats
+    from recdiv.orderstats import MAX_LIMIT
+
+    def no_sieve(*args):
+        raise AssertionError("sieved before rejecting the limit")
+
+    monkeypatch.setattr(recdiv.orderstats, "sieve_primes", no_sieve)
+    for args in (["--base", "2"], ["--poly", "1,-1,-1,-1"]):
+        assert cli(["order-stats", *args, "--limit", str(MAX_LIMIT + 1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--limit must be at most {MAX_LIMIT}" in err
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -188,6 +203,48 @@ def test_failed_prime_names_prime_and_sequence(capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert "p=7" in err and "c=-1,-1,-1;a=1,1,1" in err and "injected fault" in err
+
+
+def test_one_block_sweep_starts_no_pool(monkeypatch, tmp_path):
+    # 25 primes make one block, which leaves a pool nothing to share out
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool for one block")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    blobs = []
+    for workers in (1, 2):
+        csv_p, json_p = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
+        rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "100",
+                  "--workers", str(workers), "--csv", str(csv_p), "--json", str(json_p)])
+        assert rc == 0
+        blobs.append((csv_p.read_bytes(), json_p.read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # 46 primes make two blocks of at most 32, so 8 workers shrink to 2
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "200",
+                "--workers", "8"]) == 0
+    assert started == [2]
 
 
 def test_limit_beyond_guard_is_usage_error(capsys):

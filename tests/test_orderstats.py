@@ -6,6 +6,7 @@ from recdiv.arith import factor_integer, mult_order, sieve_primes
 from recdiv.charpoly import discriminant
 from recdiv.fppoly import fp_root
 from recdiv.orderstats import (
+    MAX_LIMIT,
     OrderRow,
     artin_fraction,
     base_index_histogram,
@@ -65,6 +66,40 @@ def test_sieved_rows_match_per_prime_orders(coeffs, limit):
     # limits around 2q + 1, where the sieve stops taking primes q, and around primes
     got = collect_order_rows(coeffs, limit)
     assert got == _oracle_rows(coeffs, limit)
+
+
+# x - a for bases that exercise the q = 2 classes mod 4|n|, n = -c0 c1: -1
+# and 2 the mod-4 and mod-8 characters, perfect squares a single square class;
+# then 2x - 3, 3x + 6 and -5x + 7, and a base so large that every prime up to
+# the limit is its own class
+LINEAR_POLYS = (
+    *([-a, 1] for a in (1, -1, 2, -2, 3, -3, 4, -4, 9, 10, 12, 16, 27)),
+    [-3, 2], [6, 3], [7, -5],
+    [-1_000_003, 1],
+)
+
+
+@pytest.mark.parametrize("coeffs", LINEAR_POLYS)
+@pytest.mark.parametrize("limit", [3, 4, 5, 7, 100, 101, 103, 2 * 10**4])
+def test_linear_rows_match_per_prime_orders(coeffs, limit):
+    # the formula root and the class-memo q = 2 level against fp_root and mult_order
+    assert collect_order_rows(coeffs, limit) == _oracle_rows(coeffs, limit)
+
+
+def test_limit_above_cap_is_rejected_before_the_sieve(monkeypatch):
+    import recdiv.orderstats
+
+    def no_sieve(*args):
+        raise AssertionError("sieved before rejecting the limit")
+
+    monkeypatch.setattr(recdiv.orderstats, "sieve_primes", no_sieve)
+    for call in (
+        lambda: collect_order_rows([-2, 1], MAX_LIMIT + 1),
+        lambda: index_histogram(TRIB_POLY, MAX_LIMIT + 1, [1]),
+        lambda: artin_fraction(2, MAX_LIMIT + 1),
+    ):
+        with pytest.raises(ValueError, match=f"at most {MAX_LIMIT}"):
+            call()
 
 
 def test_oracle_limit_reaches_prime_power_indices():
@@ -163,11 +198,11 @@ def test_index_one_is_sympy_primitive_root():
     # oracle: sympy's primitive-root test, an independent implementation
     sympy = pytest.importorskip("sympy")
     odd = sieve_primes(10**5)[1:]
-    for coeffs, primes in (([-2, 1], odd), ([3, 1], [p for p in odd if p != 3])):
-        rows = collect_order_rows(coeffs, 10**5)
-        assert [r.p for r in rows] == primes, coeffs
+    for a in (2, -3, 3, 5, -2, 10):
+        rows = collect_order_rows([-a, 1], 10**5)
+        assert [r.p for r in rows] == [p for p in odd if a % p], a
         for r in rows:
-            assert (r.index == 1) == sympy.is_primitive_root(r.root, r.p), (coeffs, r)
+            assert (r.index == 1) == sympy.is_primitive_root(r.root, r.p), (a, r)
     rows = collect_order_rows(TRIB_POLY, 2 * 10**4)
     assert len(rows) > 1000
     for r in rows:
