@@ -23,31 +23,34 @@ once. A generic step that rebuilds the state list and sums a generator took
 about 0.9-1.5 us at orders 3 and 4, against 0.17-0.33 us unrolled. The
 structural scan reads it term by term. The zero scan decides every prime
 the structural detector does not, and a scan may take a whole period, up to
-p^d - 1 steps. It takes the first terms from the stream in slices of 64,
-128, 256 and BLOCK = 512 (plus 2d - 1), reads the least zero and the first
-return of the initial state off each, and hands a longer scan to
-`_block_scan` with the same list. That tests BLOCK terms per step: every
-term of a block is a fixed combination of d packed windows of the first
-terms, weighted by the coefficients u of x^n mod f, and an exact
-divisibility test by multiplication with p^-1 mod 2^w marks the zeros in all
-lanes at once. Its block loop is generated once per order as well
-(`_scan_kernel`): the windows, the rows of x^BLOCK and u are locals, a block
-is one expression (u0*w0 + ... + u{d-1}*w{d-1}) & low, two comparisons with
-all-set bit patterns and d dot products mod p, and lanes are located only
-in a block that misses a bit. The head is packed by one array('Q'), one
-strided bytearray assignment per byte of p and one int.from_bytes, not one
+p^d - 1 steps. At an odd prime it takes the first BLOCK + 2d - 1 terms
+(BLOCK = 512) off the stream once and hands them to `_block_scan`, which
+tests BLOCK terms per step from n = 0: every term of a block is a fixed
+combination of d packed windows of the first terms, weighted by the
+coefficients u of x^n mod f, and an exact divisibility test by
+multiplication with p^-1 mod 2^w marks the zeros in all lanes at once. The
+packing needs an odd modulus; p = 2 is decided from its first d + 1 terms.
+The block loop is generated once per order as well (`_scan_kernel`): the
+windows, the rows of x^BLOCK and u are locals, a block is one expression
+(u0*w0 + ... + u{d-1}*w{d-1}) & low, two comparisons with all-set bit
+patterns and d dot products mod p, and lanes are located only in a block
+that misses a bit. The head is packed by one array('Q'), one strided
+bytearray assignment per byte of p and one int.from_bytes, not one
 int.to_bytes per term. For Tribonacci at p from 2e4 to 2.9e6 a block costs
-9-11 us (18-21 ns per term) and a call that ends in its first block
-52-63 us, against 12-16 us and 88-100 us for the generic loop with
+9-11 us (18-21 ns per term), against 12-16 us for the generic loop with
 per-term packing (both loaded in one process, alternated, best of 12,
-CPython 3.11.7, 2-core VM). The stream costs 0.15-0.19 us per term.
+CPython 3.11.7, 2-core VM). Every scan at an odd prime pays a fixed cost,
+however early it ends: a Tribonacci call whose least zero is a_1 took
+87 us at p = 101, 143 us at 20,011 and 160 us at 1,000,003, of which the
+517-term head took 43, 79 and 78 us and `_block_scan` the rest (best of 15
+rounds of 300 calls, same machine; the host drifted by up to 1.8x between
+runs). The stream costs 0.15-0.19 us per term.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -236,9 +239,6 @@ class BruteResult:
 
 # Terms the packed zero scan tests per big-integer step (see _block_scan).
 BLOCK = 512
-# has_zero_bruteforce takes its head in slices up to these lengths, so a scan
-# that ends early does not pay for BLOCK terms.
-HEAD_SLICES = (64, 128, 256, BLOCK)
 
 # The block loop of _block_scan for order d, as source: the coefficients of
 # x^n mod f sit in u0..u{d-1}, the packed windows in w0..w{d-1} and the
@@ -251,7 +251,7 @@ def blocks(u, rows, windows, p, cap, low, above, to_a0, zero_bits, period_bits):
     {us} = u
     {rs} = rows
     {ws} = windows
-    for n in range({block}, cap, {block}):
+    for n in range(0, cap, {block}):
         x = ({combo}) & low
         if ((x + above) & zero_bits != zero_bits
                 or ((x + to_a0 & low) + above) & period_bits != period_bits):
@@ -297,20 +297,23 @@ def _pack(head: list[int], p: int, width: int) -> int:
 
 
 def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult:
-    """The zero scan for n = BLOCK..cap-1, one block of BLOCK terms per step.
+    """The zero scan for n = 0..cap-1, one block of BLOCK terms per step.
 
-    head holds a_0..a_{BLOCK+2d-2} mod p. With u the coefficients of x^n mod f, a_{n+i} = sum_c u_c a_{c+i}, an
-    integer x_i <= d (p-1)^2 < 2^(w-1). Lane i of the packed window A_c holds
-    a_{c+i} p^-1 mod 2^w, so the low w bits of lane i of sum_c u_c A_c are
-    x_i p^-1 mod 2^w, which is at most floor((2^w-1)/p) exactly when p | x_i
-    (exact division by an odd invariant: Granlund and Montgomery, PLDI 1994,
-    sec. 9). Lanes are wide enough that the sum never carries into the next.
+    head holds a_0..a_{BLOCK+2d-2} mod p. With u the coefficients of x^n mod
+    f, a_{n+i} = sum_c u_c a_{c+i}, an integer x_i <= d (p-1)^2 < 2^(w-1).
+    Lane i of the packed window A_c holds a_{c+i} p^-1 mod 2^w, so the low w
+    bits of lane i of sum_c u_c A_c are x_i p^-1 mod 2^w, which is at most
+    floor((2^w-1)/p) exactly when p | x_i (exact division by an odd
+    invariant: Granlund and Montgomery, PLDI 1994, sec. 9). Lanes are wide
+    enough that the sum never carries into the next. The first block has
+    u = x^0 and reads the head itself; each next one multiplies u by x^BLOCK.
     The block at n tests a_{n+i} = 0 in lanes 0..BLOCK-1, and state_{n+i} =
     state_0 in lanes 1..BLOCK: each lane with a_{n+i} = a_0 is checked
     against the d-1 lanes after it. The blocks come from _scan_kernel; only
     a block with a missing zero or period bit reaches the lane search here.
-    Its least zero bit decides it: no zero or return lies below n = BLOCK,
-    so a zero z past a return P would repeat at z - P < BLOCK.
+    Its least zero bit decides it: a zero z past a return P would repeat at
+    z - P < z, so the least zero of the first block that has one precedes
+    every return.
     An even p raises, since p^-1 mod 2^w would not exist, and so does
     p >= 2^64, which the 64-bit words of the packing cannot hold.
     """
@@ -341,7 +344,8 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
         top = rows[-1][-1]
         rows.append([(a + top * k) % p for a, k in zip([0] + rows[-1][:-1], ks)])
     flat = [v for row in rows for v in row]
-    blocks = _scan_kernel(d)(rows[0], flat, windows, p, cap, low, above, to_a0, zero_bits, period_bits)
+    u = [1] + [0] * (d - 1)  # x^0: the first block reads the head itself
+    blocks = _scan_kernel(d)(u, flat, windows, p, cap, low, above, to_a0, zero_bits, period_bits)
     capped = BruteResult("capped", steps=cap)
     for n, x in blocks:
         zeros = (x + above) & zero_bits ^ zero_bits
@@ -362,36 +366,27 @@ def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
 
     Divisor carries the least witness index; NonDivisor is only reported
     after a full period was scanned, so an uncapped run is a complete
-    decision procedure. The first terms come off term_stream in slices: the
-    least zero and the first return of the initial state are looked for
-    among the first 64 terms, then 128, 256 and BLOCK (HEAD_SLICES), and a
-    longer scan hands that list to _block_scan. The least zero always comes
-    before the first return, since the orbit is periodic from there on.
-    p = 2 never reaches _block_scan below order BLOCK: with no zero every
-    term is 1, so the initial state returns after one step.
+    decision procedure. An odd p hands a_0..a_{BLOCK+2d-2} off term_stream
+    to _block_scan, which scans from n = 0. The packing needs an odd
+    modulus, so p = 2 is decided from a_0..a_d: with c_0 odd and no zero
+    among a_0..a_{d-1}, every one of them is 1, so a_d is either the least
+    zero or 1, and then the initial state returns after one step.
     """
     if spec.coeffs[0] % p == 0:
         raise ValueError("not purely periodic")
     d = spec.order
     ks, s0 = _mod_recurrence(spec, p)
     stream = _stream(d)(ks, s0, p)
-    head: list[int] = []
-    done = 0  # zeros below done and returns at 1..done are ruled out
-    for lim in (min(cap, size) for size in HEAD_SLICES):
-        head += islice(stream, lim + 2 * d - 1 - len(head))
-        if 0 in head[done:lim]:
-            zero = head.index(0, done)
+    if p != 2:
+        return _block_scan(ks, list(islice(stream, BLOCK + 2 * d - 1)), p, cap)
+    head = list(islice(stream, d + 1))
+    if 0 in head:
+        zero = head.index(0)
+        if zero < cap:
             return BruteResult("divisor", witness=zero, steps=zero + 1)
-        n = done
-        with suppress(ValueError):  # index raises once no return is left below lim + 1
-            while True:
-                n = head.index(s0[0], n + 1, lim + 1)
-                if head[n : n + d] == s0:
-                    return BruteResult("nondivisor", period=n, steps=n)
-        done = lim
-    if cap <= BLOCK:
-        return BruteResult("capped", steps=cap)
-    return _block_scan(ks, head, p, cap)
+    elif cap >= 1:
+        return BruteResult("nondivisor", period=1, steps=1)
+    return BruteResult("capped", steps=cap)
 
 
 def zero_term_scan(spec: RecurrenceSpec, bound: int) -> list[int]:

@@ -36,9 +36,10 @@ class SweepConfig:
     """One sweep: the sequence, the prime bound, scan budgets, and output paths.
 
     Rejects, with a ValueError, an order or limit beyond the sweep guards,
-    a limit below 2, a worker count outside 1..MAX_WORKERS, and an output
-    path that is a directory or whose directory does not exist, so a bad
-    path fails before the sweep runs.
+    a limit below 2, a worker count outside 1..MAX_WORKERS, an output
+    path that is a directory or whose directory does not exist, and a CSV
+    and a JSON path that resolve to one file, so a bad path fails before
+    the sweep runs.
     """
 
     spec: RecurrenceSpec
@@ -64,6 +65,9 @@ class SweepConfig:
                 raise ValueError(f"cannot write {path}: its directory does not exist")
             if path and os.path.isdir(path):
                 raise ValueError(f"cannot write {path}: it is a directory")
+        if self.csv_path and self.json_path and (
+                os.path.realpath(self.csv_path) == os.path.realpath(self.json_path)):
+            raise ValueError(f"cannot write the CSV and the JSON to one file: {self.json_path}")
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,25 @@ def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monk
     assert err.startswith("error:") and path in err
 
 
+@pytest.mark.parametrize("csv, json_", [("x", "x"), ("d/x", "d/./x")])
+def test_sweep_csv_and_json_to_one_file_is_usage_error(tmp_path, capsys, monkeypatch, csv, json_):
+    # the JSON once overwrote the CSV, and the run still reported the rows written
+    import recdiv.cli
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the output paths were checked")
+
+    monkeypatch.setattr(recdiv.cli, "run_sweep", no_sweep)
+    (tmp_path / "d").mkdir()
+    monkeypatch.chdir(tmp_path)
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "100",
+              "--csv", csv, "--json", json_])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and json_ in err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "d" / "x").exists()
+
+
 @pytest.mark.parametrize("field", ["1,,2", "1,2,"])
 @pytest.mark.parametrize(
     "option, args",

@@ -279,7 +279,37 @@ def test_bruteforce_walker_matches_reference_scan():
                     want = _reference_zero_scan(spec, p, cap)
                     assert got == want, (spec.fingerprint(), p, cap)
                     cases += 1
+    # odd primes whose scan ends in the first packed block: a zero in lane 0,
+    # a return in lane 1, the last zero lane BLOCK - 1, the last return lane BLOCK
+    for spec, p, end in _first_block_cases():
+        assert _reference_zero_scan(spec, p, 10**6) == end, (spec.fingerprint(), p)
+        for cap in (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10**6):
+            got = has_zero_bruteforce(spec, p, cap)
+            assert got == _reference_zero_scan(spec, p, cap), (spec.fingerprint(), p, cap)
+            cases += 1
     assert cases > 5000
+
+
+def _first_block_cases():
+    """(spec, p, full scan) for odd p: a_0 = 0, a constant nonzero sequence,
+    a least zero at BLOCK - 1 and a zero-free period of exactly BLOCK."""
+    rng = random.Random(18)
+    zero = BruteResult("divisor", witness=0, steps=1)
+    one = BruteResult("nondivisor", period=1, steps=1)
+    last_zero = BruteResult("divisor", witness=BLOCK - 1, steps=BLOCK)
+    last_return = BruteResult("nondivisor", period=BLOCK, steps=BLOCK)
+    return [
+        (RecurrenceSpec((-3,), (0,)), 5, zero),
+        (RecurrenceSpec((-1, -1, -1), (0, 1, 1)), 7, zero),
+        (RecurrenceSpec((-1,) * 4, (0, 1, 1, 1)), 1_000_003, zero),
+        (RecurrenceSpec((-1,), (5,)), 3, one),
+        (RecurrenceSpec((1, -1, -1), (2, 2, 2)), 1_000_003, one),
+        (RecurrenceSpec((-1, 0, 0, 0), (4, 4, 4, 4)), 101, one),
+        (_zero_at(3, 1_000_003, BLOCK - 1, rng), 1_000_003, last_zero),
+        (_zero_at(4, 999_983, BLOCK - 1, rng), 999_983, last_zero),
+        (_long_period(1, 12289, BLOCK), 12289, last_return),  # r^n, r of order BLOCK
+        (_long_period(3, 12289, BLOCK), 12289, last_return),  # no r^n of order 3: no zero
+    ]
 
 
 def test_p2_settles_within_d_plus_1_terms():
