@@ -31,16 +31,25 @@ _MR_TIERS = (
 )
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit in ascending order; empty for limit < 2."""
+def prime_flags(limit: int) -> bytearray:
+    """flags[n] == 1 exactly when n is prime, for 0 <= n <= limit (empty for limit < 2).
+
+    One byte per integer: the order statistics read the primes from it
+    straight into a machine-word array, with no list of Python ints.
+    """
     if limit < 2:
-        return []
+        return bytearray()
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), flags))
+    return flags
+
+
+def sieve_primes(limit: int) -> list[int]:
+    """All primes <= limit in ascending order; empty for limit < 2."""
+    return list(compress(range(limit + 1), prime_flags(limit)))
 
 
 def is_prime(n: int) -> bool:

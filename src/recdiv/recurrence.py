@@ -33,10 +33,13 @@ packing needs an odd modulus; p = 2 is decided from its first d + 1 terms.
 The block loop is generated once per order as well (`_scan_kernel`): the
 windows, the rows of x^BLOCK and u are locals, a block is one expression
 (u0*w0 + ... + u{d-1}*w{d-1}) & low, two comparisons with all-set bit
-patterns and d dot products mod p, and lanes are located only in a block
-that misses a bit. The head is packed by one array('Q'), one strided
-bytearray assignment per byte of p and one int.from_bytes, not one
-int.to_bytes per term. For Tribonacci at p from 2e4 to 2.9e6 a block costs
+patterns and d dot products mod p. A block that misses a bit is yielded
+with the missing bits, its zeros or else its return candidates, so the
+caller locates lanes without redoing the tests, and checks a candidate
+on a slice of d lanes, not on shifts of the whole block. The lane masks
+that depend only on (d, w, width) come from a small cache. The head is
+packed by one array('Q'), one strided bytearray assignment per byte of p
+and one int.from_bytes, not one int.to_bytes per term. For Tribonacci at p from 2e4 to 2.9e6 a block costs
 9-11 us (18-21 ns per term), against 12-16 us for the generic loop with
 per-term packing (both loaded in one process, alternated, best of 12,
 CPython 3.11.7, 2-core VM). Every scan at an odd prime pays a fixed cost,
@@ -244,8 +247,9 @@ BLOCK = 512
 # x^n mod f sit in u0..u{d-1}, the packed windows in w0..w{d-1} and the
 # coefficients of x^(BLOCK+k) mod f in r{k}_0..r{k}_{d-1}, so a block is one
 # combination of the windows and d dot products mod p. A block yields only
-# when a zero bit or a period bit is missing; the caller then finds the
-# lanes. Only names built from the integer d are substituted.
+# when a zero bit or a period bit is missing, with the missing bits: zeros,
+# or else the return candidates, the lanes that equal a_0. The caller then
+# finds the lanes. Only names built from the integer d are substituted.
 _SCAN_TEMPLATE = """
 def blocks(u, rows, windows, p, cap, low, above, to_a0, zero_bits, period_bits):
     {us} = u
@@ -253,9 +257,13 @@ def blocks(u, rows, windows, p, cap, low, above, to_a0, zero_bits, period_bits):
     {ws} = windows
     for n in range(0, cap, {block}):
         x = ({combo}) & low
-        if ((x + above) & zero_bits != zero_bits
-                or ((x + to_a0 & low) + above) & period_bits != period_bits):
-            yield n, x
+        zeros = (x + above) & zero_bits
+        if zeros != zero_bits:
+            yield n, x, zeros ^ zero_bits, 0
+        else:
+            starts = ((x + to_a0 & low) + above) & period_bits
+            if starts != period_bits:
+                yield n, x, 0, starts ^ period_bits
         {us} = {step}
 """
 
@@ -284,6 +292,19 @@ def _lane_bits(d: int, p: int) -> tuple[int, int]:
     return w, -(-(w + (d * p).bit_length() + 1) // 8)
 
 
+@lru_cache(maxsize=16)
+def _lane_masks(d: int, w: int, width: int) -> tuple[int, int, int, int, int]:
+    """The masks of _block_scan that depend on p only through (w, width):
+    ones (1 in each of its BLOCK + d lanes), low (the low w bits of each),
+    the selector of the head's BLOCK + 2d - 1 lanes, and the zero and
+    period bits (bit w of lanes 0..BLOCK-1 and of lanes 1..BLOCK)."""
+    shift = 8 * width
+    mask = (1 << w) - 1
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * (BLOCK + d), "little")
+    zero_bits = (1 << w) * (ones >> d * shift)
+    return ones, mask * ones, mask * (ones << (d - 1) * shift | ones), zero_bits, zero_bits << shift
+
+
 def _pack(head: list[int], p: int, width: int) -> int:
     """The terms of head, each below p < 2^64, as one integer of width-byte lanes."""
     words = array("Q", head)
@@ -310,10 +331,11 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
     The block at n tests a_{n+i} = 0 in lanes 0..BLOCK-1, and state_{n+i} =
     state_0 in lanes 1..BLOCK: each lane with a_{n+i} = a_0 is checked
     against the d-1 lanes after it. The blocks come from _scan_kernel; only
-    a block with a missing zero or period bit reaches the lane search here.
-    Its least zero bit decides it: a zero z past a return P would repeat at
-    z - P < z, so the least zero of the first block that has one precedes
-    every return.
+    a block with a missing zero or period bit reaches the lane search here,
+    and the kernel hands over those bits with it: its zero lanes or, when
+    it has none, its return candidates. Its least zero bit decides it: a
+    zero z past a return P would repeat at z - P < z, so the least zero of
+    the first block that has one precedes every return.
     An even p raises, since p^-1 mod 2^w would not exist, and so does
     p >= 2^64, which the 64-bit words of the packing cannot hold.
     """
@@ -323,20 +345,17 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
         raise ValueError(f"the packed zero scan needs a modulus below 2**64, got {p}")
     d = len(ks)
     s0 = head[:d]
-    lanes = BLOCK + d
     w, width = _lane_bits(d, p)
     shift = 8 * width
     mask = (1 << w) - 1
     bound = mask // p
+    span = (1 << d * shift) - 1  # d lanes
     inv = pow(p, -1, 1 << w)
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")  # 1 in each lane
-    low = mask * ones
-    packed = _pack(head, p, width) * inv & mask * (ones << (d - 1) * shift | ones)
+    ones, low, select, zero_bits, period_bits = _lane_masks(d, w, width)
+    packed = _pack(head, p, width) * inv & select
     windows = [packed >> c * shift & low for c in range(d)]
     above = (mask - bound) * ones  # a lane plus this reaches bit w iff it exceeds bound
     to_a0 = ((p - s0[0]) * inv & mask) * ones  # a lane plus this is <= bound iff it is a_0
-    zero_bits = (1 << w) * (ones >> d * shift)  # bit w of lanes 0..BLOCK-1
-    period_bits = zero_bits << shift  # bit w of lanes 1..BLOCK
 
     step = _x_pow_mod(BLOCK, [-k % p for k in ks] + [1], p)
     rows = [step + [0] * (d - len(step))]  # x^k * x^BLOCK mod f for k < d
@@ -346,19 +365,21 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
     flat = [v for row in rows for v in row]
     u = [1] + [0] * (d - 1)  # x^0: the first block reads the head itself
     blocks = _scan_kernel(d)(u, flat, windows, p, cap, low, above, to_a0, zero_bits, period_bits)
-    capped = BruteResult("capped", steps=cap)
-    for n, x in blocks:
-        zeros = (x + above) & zero_bits ^ zero_bits
+    for n, x, zeros, starts in blocks:
         if zeros:  # the least zero comes before any return in this block
             zero = n + ((zeros & -zeros).bit_length() - 1 - w) // shift
-            return BruteResult("divisor", witness=zero, steps=zero + 1) if zero < cap else capped
-        starts = ((x + to_a0 & low) + above) & period_bits ^ period_bits
+            if zero < cap:
+                return BruteResult("divisor", witness=zero, steps=zero + 1)
         while starts:
             i = ((starts & -starts).bit_length() - 1 - w) // shift
-            if all(((x >> (i + k) * shift & mask) * p & mask) % p == s0[k] for k in range(1, d)):
-                return BruteResult("nondivisor", period=n + i, steps=n + i) if n + i <= cap else capped
+            state = x >> i * shift & span  # lanes i..i+d-1
+            if all(((state >> k * shift & mask) * p & mask) % p == s0[k] for k in range(1, d)):
+                if n + i <= cap:
+                    return BruteResult("nondivisor", period=n + i, steps=n + i)
+                break
             starts &= starts - 1
-    return capped
+    # a zero or return past the cap lies in the last block, so the loop ends
+    return BruteResult("capped", steps=cap)
 
 
 def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:

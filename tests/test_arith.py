@@ -42,6 +42,19 @@ def test_sieve_matches_trial_division_to_10k():
     assert len(primes) == 1229
 
 
+def test_sieve_matches_trial_division_at_every_limit_to_3000():
+    # every limit, so a flag sieve off by one at either end shows
+    oracle = []
+    for n in range(3001):
+        if _trial_is_prime(n):
+            oracle.append(n)
+        assert sieve_primes(n) == oracle, n
+
+
+def test_sieve_counts_primes_to_1e6():
+    assert len(sieve_primes(10**6)) == 78_498  # pi(10^6)
+
+
 def test_is_prime_examples():
     assert not is_prime(1)
     assert not is_prime(0)

@@ -139,6 +139,7 @@ def test_order_stats_limit_above_cap_is_usage_error(capsys, monkeypatch):
         raise AssertionError("sieved before rejecting the limit")
 
     monkeypatch.setattr(recdiv.orderstats, "sieve_primes", no_sieve)
+    monkeypatch.setattr(recdiv.orderstats, "prime_flags", no_sieve)
     for args in (["--base", "2"], ["--poly", "1,-1,-1,-1"]):
         assert cli(["order-stats", *args, "--limit", str(MAX_LIMIT + 1)]) == 1
         err = capsys.readouterr().err

@@ -68,6 +68,16 @@ def test_sieved_rows_match_per_prime_orders(coeffs, limit):
     assert got == _oracle_rows(coeffs, limit)
 
 
+@pytest.mark.parametrize("coeffs", ([-2, 1], [-3, 2], TRIB_POLY, [1, 1]))
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_rows_match_per_prime_orders_where_the_sieve_stops(coeffs, q):
+    # the level at q runs only while 2q < limit: at limit 2q it is skipped,
+    # at 2q + 1 and 2q + 2 it must run. 2q + 1 is prime for q = 3 and 5, and
+    # there the root -1 of x + 1 has index q
+    for limit in (2 * q, 2 * q + 1, 2 * q + 2):
+        assert collect_order_rows(coeffs, limit) == _oracle_rows(coeffs, limit), limit
+
+
 # x - a for bases that exercise the q = 2 classes mod 4|n|, n = -c0 c1: -1
 # and 2 the mod-4 and mod-8 characters, perfect squares a single square class;
 # then 2x - 3, 3x + 6 and -5x + 7, and a base so large that every prime up to
@@ -93,6 +103,7 @@ def test_limit_above_cap_is_rejected_before_the_sieve(monkeypatch):
         raise AssertionError("sieved before rejecting the limit")
 
     monkeypatch.setattr(recdiv.orderstats, "sieve_primes", no_sieve)
+    monkeypatch.setattr(recdiv.orderstats, "prime_flags", no_sieve)
     for call in (
         lambda: collect_order_rows([-2, 1], MAX_LIMIT + 1),
         lambda: index_histogram(TRIB_POLY, MAX_LIMIT + 1, [1]),

@@ -19,7 +19,7 @@ from recdiv.recurrence import (
     term_stream,
     zero_term_scan,
 )
-from recdiv.recurrence import _block_scan, _lane_bits, _scan_kernel
+from recdiv.recurrence import _block_scan, _lane_bits, _lane_masks, _scan_kernel
 
 
 def test_spec_validation():
@@ -474,6 +474,52 @@ def test_scan_kernel_compiles_and_scans_for_orders_1_to_8():
         spec = _zero_at(d, p, 3 * BLOCK + d, rng) if d > 1 else RecurrenceSpec((-2,), (5,))
         for cap in (2 * BLOCK, 4 * BLOCK):
             assert has_zero_bruteforce(spec, p, cap) == _reference_zero_scan(spec, p, cap), (d, cap)
+
+
+def _false_return(p, rng):
+    """An order-3 spec with a_3 = a_0 and a_4 = a_1 but a_5 != a_2, and no
+    zero among a_0..a_{BLOCK-1}: lane 3 of the first block is a return
+    candidate whose state check fails in its last lane."""
+    while True:
+        a0, a1, a2, k0 = (rng.randrange(1, p) for _ in range(4))
+        det = (a1 * a0 - a2 * a2) % p
+        if not det:
+            continue
+        # k1 a1 + k2 a2 = (1 - k0) a0 and k1 a2 + k2 a0 = (1 - k0) a1, by Cramer
+        r1, r2, inv = (1 - k0) * a0, (1 - k0) * a1, pow(det, -1, p)
+        k1, k2 = (r1 * a0 - r2 * a2) * inv % p, (a1 * r2 - a2 * r1) * inv % p
+        spec = RecurrenceSpec((-k0, -k1, -k2), (a0, a1, a2))
+        head = list(islice(term_stream(spec, p), BLOCK))
+        if head[3:5] == [a0, a1] and head[5] != a2 and 0 not in head:
+            return spec
+
+
+def test_block_scan_alternates_orders_and_lane_widths():
+    # one process scans orders 3 and 4 in turn at lane widths 6 (p = 12289,
+    # where w is 30 at order 3 and 31 at order 4) and 7 (p = 40961), so lane
+    # masks cached for one (d, w, width) must not serve another. Caps fall
+    # inside blocks that yield: before a zero or a return in the same block,
+    # and around a return candidate whose state check fails
+    _lane_masks.cache_clear()
+    rng = random.Random(20)
+    cases = [(_false_return(p, rng), p) for p in (12289, 40961)]
+    for p in (12289, 40961):  # BLOCK divides p - 1
+        for d in (3, 4):
+            cases += [(_zero_at(d, p, BLOCK + 97, rng), p), (_long_period(d, p, BLOCK), p)]
+    assert {_lane_bits(spec.order, p) for spec, p in cases} == {(30, 6), (31, 6), (34, 7)}
+    full = [_reference_zero_scan(spec, p, 10**6) for spec, p in cases]
+    assert "capped" not in {r.kind for r in full}
+    assert full[2::2] == [BruteResult("divisor", witness=BLOCK + 97, steps=BLOCK + 98)] * 4
+    # r, r^2, r^3 with r of order BLOCK: no zero; the fourth sum vanishes at BLOCK / 4
+    assert full[3::2] == [BruteResult("nondivisor", period=BLOCK, steps=BLOCK),
+                          BruteResult("divisor", witness=BLOCK // 4, steps=BLOCK // 4 + 1)] * 2
+    caps = [sorted({1, 3, 4, 5, BLOCK - 1, BLOCK, BLOCK + 1,
+                    r.steps - 40, r.steps - 1, r.steps, r.steps + 1, 10**6}) for r in full]
+    for k in range(max(map(len, caps))):
+        for (spec, p), cs in zip(cases, caps):
+            cap = cs[min(k, len(cs) - 1)]
+            got = has_zero_bruteforce(spec, p, cap)
+            assert got == _reference_zero_scan(spec, p, cap), (spec.fingerprint(), p, cap)
 
 
 def test_block_scan_rejects_modulus_from_2_to_the_64():
