@@ -1,29 +1,20 @@
 """Empirical study of prime divisors of integer linear recurrence sequences."""
 
 from .arith import FactoredInteger, factor_integer, is_prime, mult_order, sieve_primes
-from .charpoly import (
-    PolyProfile,
-    analyze_poly,
-    discriminant,
-    expected_pattern_density,
-    nondegeneracy,
-)
+from .charpoly import PolyProfile, analyze_poly, discriminant, expected_pattern_density
 from .detect import (
     DetectPolicy,
     Excluded,
     StructuralContext,
     Verdict,
     build_context,
-    cross_validate,
     structural_detect,
 )
 from .fppoly import FactorPattern, fp_root, pattern
-from .orderstats import OrderRow, artin_fraction, index_histogram
+from .orderstats import index_histogram
 from .recurrence import (
     RecurrenceSpec,
     has_zero_bruteforce,
-    period_mod,
-    term_int,
     term_mod,
     zero_term_scan,
 )

@@ -107,9 +107,6 @@ class FactoredInteger:
         if prod != self.value:
             raise ValueError(f"factors do not reassemble to {self.value}")
 
-    def prime_divisors(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.factors)
-
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
@@ -196,14 +193,6 @@ def mult_order(a: int, p: int, totient: FactoredInteger | None = None) -> int:
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient, via factorization."""
-    phi = 1
-    for q, e in factor_integer(n).factors:
-        phi *= (q - 1) * q ** (e - 1)
-    return phi
 
 
 def all_divisors(f: FactoredInteger) -> list[int]:

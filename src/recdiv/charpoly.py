@@ -115,25 +115,6 @@ def _hankel_det(sums: list[int], d: int, m: int) -> int:
     return _bareiss_det([[sums[m * (i + j)] for j in range(d)] for i in range(d)])
 
 
-def nondegeneracy(coeffs) -> tuple[str, int | None]:
-    """Whether no ratio of two distinct roots is a root of unity.
-
-    Two distinct roots have a ratio of order dividing m exactly when their
-    m-th powers coincide, that is, when the Hankel determinant
-    det[s_(m(i+j))] of the power sums vanishes. A ratio lies in a field of
-    degree at most d(d-1), so its order m has phi(m) <= d(d-1), and the
-    least such m is the least order of a ratio. Returns ("no", m) for that
-    m, or ("yes", None). The roots are first scaled by the leading
-    coefficient, which keeps their ratios and makes the polynomial monic. A
-    root at 0 needs no care: its powers are 0 and no other root's are.
-    Requires squarefree input.
-    """
-    verdict = _least_ratio_order(_ipoly(coeffs))
-    if verdict == ("no", 1):
-        raise ValueError("repeated roots")
-    return verdict
-
-
 @lru_cache(maxsize=None)
 def _ratio_orders(d: int) -> tuple[int, ...]:
     """1, then every m >= 2 with phi(m) <= d(d-1): the orders a root of unity
@@ -151,7 +132,18 @@ def _ratio_orders(d: int) -> tuple[int, ...]:
 
 
 def _least_ratio_order(poly: list[int]) -> tuple[str, int | None]:
-    """nondegeneracy for a trimmed polynomial; ("no", 1) for a repeated root."""
+    """Whether no ratio of two distinct roots of poly (trimmed) is a root of unity.
+
+    Two distinct roots have a ratio of order dividing m exactly when their
+    m-th powers coincide, that is, when the Hankel determinant
+    det[s_(m(i+j))] of the power sums vanishes. A ratio lies in a field of
+    degree at most d(d-1), so its order m has phi(m) <= d(d-1), and the
+    least such m is the least order of a ratio. Returns ("no", m) for that
+    m, or ("yes", None); a repeated root gives ("no", 1). The roots are
+    first scaled by the leading coefficient, which keeps their ratios and
+    makes the polynomial monic. A root at 0 needs no care: its powers are 0
+    and no other root's are.
+    """
     d = len(poly) - 1
     if d < 2:
         return ("yes", None)

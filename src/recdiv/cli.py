@@ -17,7 +17,7 @@ from .demo import DEMO_SPEC, base_table
 from .detect import DEFAULT_POLICY, DetectPolicy, detect_full
 from .orderstats import MAX_LIMIT, MIN_LIMIT, NoQualifyingPrimes, index_histogram
 from .recurrence import RecurrenceSpec
-from .sweep import SweepConfig, run_sweep
+from .sweep import MAX_LIMIT as SWEEP_MAX_LIMIT, SweepConfig, run_sweep
 
 
 class UsageError(Exception):
@@ -195,6 +195,10 @@ def _cmd_order_stats(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    if args.limit < 3:  # 2 is ramified, so 3 is the first prime the demo checks
+        raise UsageError(f"--limit must be at least 3, got {args.limit}")
+    if args.limit > SWEEP_MAX_LIMIT:
+        raise UsageError(f"--limit must be at most {SWEEP_MAX_LIMIT}, got {args.limit}")
     print("sequence: a_n = 5^n + (3+sqrt(2))^n + (3-sqrt(2))^n")
     print(f"coefficients {list(DEMO_SPEC.coeffs)}, initial terms {list(DEMO_SPEC.init)}")
     print("whenever x^2-6x+7 stays irreducible mod p, the detector base must be 25/7 mod p:")

@@ -10,8 +10,8 @@ pure base-field statement: for some r < Q, the ratio
     RHS_r = -(a_r - gamma1 * a1^r) / (gamma1 * a1^r)
 
 lies in the cyclic subgroup generated by the base G = a1^d / ((-1)^d c_0).
-The scan over r < Q is therefore a complete decision procedure,
-cross-validated against the brute-force period scan. Only base-field numbers
+The scan over r < Q is therefore a complete decision procedure; the tests
+check it against the brute-force period scan. Only base-field numbers
 enter: gamma1, the coefficient of a1^n in a_n, has the closed form
 sum_k g_k a_k / g(a1), because g annihilates every root but a1.
 
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factor_integer, mult_order, sieve_primes
+from .arith import factor_integer, mult_order
 from .fppoly import FactorPattern, _eval, pattern
 from .recurrence import (
     RecurrenceSpec,
@@ -240,25 +240,3 @@ def detect_full(
     return pat, None, Verdict(
         "indeterminate", method="brute", detail=f"cap {policy.brute_cap} reached"
     )
-
-
-def cross_validate(
-    spec: RecurrenceSpec, prime_limit: int, cap: int = 10_000_000
-) -> list[tuple[int, str, str]]:
-    """Run both detectors on every unexcluded (1, d-1) prime; list mismatches.
-
-    The brute scan must complete a full period at every tested prime, so
-    prime_limit has to be small enough for the cap; a capped scan raises.
-    """
-    mismatches = []
-    for p in sieve_primes(prime_limit):
-        res = build_context(spec, p)
-        if isinstance(res, Excluded):
-            continue
-        sv = structural_detect(res, spec, r_cap=res.q)
-        bv = has_zero_bruteforce(spec, p, cap)
-        if bv.kind == "capped":
-            raise ValueError(f"brute-force cap too small for a full period at p={p}")
-        if sv.kind != bv.kind:
-            mismatches.append((p, sv.kind, bv.kind))
-    return mismatches

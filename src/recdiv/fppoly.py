@@ -27,11 +27,10 @@ separated the remaining pair of roots, and `order-stats --poly 1,-1,-1,-1
 runs, CPython 3.11.7, 2-core VM).
 
 Every power of x mod f goes through `_x_pow_mod`: x^(p^e) in
-distinct-degree splitting, x^p in `fp_root`, x^n in `recurrence.term_mod`,
-x^512, the block step, in the packed zero scan, and x^((p^e - 1)/q), the
-order of x mod a distinct-degree block, in `recurrence.period_mod`. Those
-powers are most of the per-prime F_p[x] work of a sweep, so the
-square-and-multiply is generated once per degree d, the way
+distinct-degree splitting, x^p in `fp_root`, x^n in `recurrence.term_mod`
+and x^512, the block step, in the packed zero scan. Those powers are most
+of the per-prime F_p[x] work of a sweep, so the square-and-multiply is
+generated once per degree d, the way
 `recurrence._stream` generates the term stream mod p: the coefficients sit
 in d locals, the reductions of x^d..x^(2d-2) mod f are computed at entry,
 and multiplying by x is a shift plus one reduction. For d = 3, 4, 5, x^p

@@ -1,13 +1,15 @@
 """Multiplicative order statistics of polynomial roots over primes.
 
-For each prime where the polynomial has a root mod p, record the order of
-the smallest root and its index (p-1)/order. The histogram of indices is
-the empirical counterpart of the almost-maximal-order phenomenon; the
-primitive-root fraction for a fixed integer base a is the classical
-calibration target (roughly 0.374 for base 2). It is read from the order
-rows of x - a: the share of rows with index 1.
+For each prime where the polynomial has a root mod p, `_root_indices`
+finds the smallest root and its index (p-1)/order. `index_histogram`, what
+`order-stats` prints, is the empirical counterpart of the
+almost-maximal-order phenomenon; the primitive-root fraction for a fixed
+integer base a is the classical calibration target (roughly 0.374 for base
+2). It is the share of the primes where the root a of x - a has index 1.
+The index of the structural base G is not computed here: a sweep records
+it per prime, in the `index_G` column.
 
-p = 2 is skipped everywhere here: its unit group is trivial, so a row at 2
+p = 2 is skipped everywhere here: its unit group is trivial, so a root at 2
 carries no order information, and skipping it keeps the base-a fraction and
 the histogram of x - a in exact agreement.
 
@@ -49,38 +51,19 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice
 
-from .arith import prime_flags, sieve_primes
+from .arith import prime_flags
 from .charpoly import _disc, _ipoly
-from .detect import Excluded, build_context
 from .fppoly import fp_root
-from .recurrence import RecurrenceSpec
 
 MIN_LIMIT = 100  # the smallest prime bound index_histogram accepts
 MAX_LIMIT = 10**7  # the largest prime bound: memory grows with it (README, Guards)
 
 
-@dataclass(frozen=True, slots=True)
-class OrderRow:
-    """Order data at one prime: the chosen root, its order, and the index."""
-
-    p: int
-    root: int
-    order: int
-    index: int
-
-    def __post_init__(self):
-        if self.order * self.index != self.p - 1:
-            raise ValueError("order times index must equal p - 1")
-        if pow(self.root, self.order, self.p) != 1:
-            raise ValueError("root does not have the claimed order")
-
-
 class NoQualifyingPrimes(ValueError):
-    """No prime up to the limit gives an order row, so there is nothing to count."""
+    """No prime up to the limit has a root index, so there is nothing to count."""
 
 
 def _histogram(counts: Counter, c_grid) -> list[tuple[int, Fraction]]:
@@ -179,11 +162,6 @@ def _root_indices(coeffs, limit: int) -> Iterator[tuple[int, int, int]]:
         yield p, root, k
 
 
-def collect_order_rows(coeffs, limit: int) -> list[OrderRow]:
-    """Order rows over all qualifying primes up to limit."""
-    return [OrderRow(p, root, (p - 1) // k, k) for p, root, k in _root_indices(coeffs, limit)]
-
-
 def index_histogram(coeffs, limit: int, c_grid) -> list[tuple[int, Fraction]]:
     """For each C in the grid, the fraction of qualifying primes with index <= C.
 
@@ -198,29 +176,7 @@ def index_histogram(coeffs, limit: int, c_grid) -> list[tuple[int, Fraction]]:
 def artin_fraction(a: int, limit: int) -> Fraction:
     """Fraction of odd primes p <= limit, p not dividing a, where a generates F_p^*.
 
-    These are the order rows of x - a with index 1.
+    These are the root indices of x - a equal to 1; 0 when no prime qualifies.
     """
-    rows = collect_order_rows([-a, 1], limit)
-    hits = sum(1 for r in rows if r.index == 1)
-    return Fraction(hits, len(rows)) if rows else Fraction(0, 1)
-
-
-def base_order_rows(spec: RecurrenceSpec, limit: int) -> list[OrderRow]:
-    """Order rows for the structural base G over the spec's (1, d-1) primes.
-
-    The companion statistic to the root-order rows: the scan length of the
-    structural detector is governed by the index of G, so its distribution
-    is worth reporting alongside the root indices.
-    """
-    rows = []
-    for p in sieve_primes(limit):
-        ctx = build_context(spec, p)
-        if isinstance(ctx, Excluded):
-            continue
-        rows.append(OrderRow(p, ctx.base, ctx.ord_base, ctx.index_base))
-    return rows
-
-
-def base_index_histogram(spec: RecurrenceSpec, limit: int, c_grid) -> list[tuple[int, Fraction]]:
-    """Index histogram for the structural base G."""
-    return _histogram(Counter(r.index for r in base_order_rows(spec, limit)), c_grid)
+    indices = [k for _, _, k in _root_indices([-a, 1], limit)]
+    return Fraction(indices.count(1), len(indices)) if indices else Fraction(0, 1)

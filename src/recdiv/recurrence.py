@@ -11,11 +11,8 @@ powering is `fppoly._x_pow_mod`, generated once per order for the same
 reason as the term stream below: every divisor witness is re-verified with
 `term_mod`, and x^n mod a cubic took about 15 us at n near 1e4 against
 163 us for the generic list arithmetic (CPython 3.11.7, 2-core VM).
-Brute-force period and zero scans walk the state orbit directly; the orbit
-is purely periodic exactly when p does not divide c_0. The root-order
-period needs no extension field either: it is the lcm of the orders of x
-modulo the distinct-degree blocks of the characteristic polynomial, each
-found by stripping primes of p^e - 1 with the same x^e mod f kernel.
+The zero scan walks the state orbit directly; the orbit is purely periodic
+exactly when p does not divide c_0.
 
 Every scan of a_n mod p steps one generator per order, `term_stream`: its
 source is written out for d state and d multiplier locals and compiled
@@ -57,10 +54,8 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import lcm
 
-from .arith import factor_integer
-from .fppoly import _ddf, _seq, _x_pow_mod
+from .fppoly import _seq, _x_pow_mod
 
 # Exact integer terms are only computed below this index; entries grow
 # exponentially in bit size, so large n must go through term_mod.
@@ -114,18 +109,6 @@ def term_iter(spec: RecurrenceSpec):
         window = window[1:] + [nxt] if d > 1 else [nxt]
 
 
-def term_int(spec: RecurrenceSpec, n: int) -> int:
-    """Exact integer a_n by iteration, guarded against runaway bit growth."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n > TERM_INT_GUARD:
-        raise ValueError(f"index {n} exceeds the exact-term guard; use term_mod")
-    it = term_iter(spec)
-    for _ in range(n):
-        next(it)
-    return next(it)
-
-
 def term_mod(spec: RecurrenceSpec, n: int, p: int) -> int:
     """a_n mod p for any n >= 0, via binary powering in F_p[x]/(char poly)."""
     if n < 0:
@@ -177,57 +160,6 @@ def term_stream(spec: RecurrenceSpec, p: int):
     """Yields a_0, a_1, ... mod p indefinitely."""
     ks, state = _mod_recurrence(spec, p)
     return _stream(spec.order)(ks, state, p)
-
-
-def _walk_period(spec: RecurrenceSpec, p: int) -> int:
-    ks, s0 = _mod_recurrence(spec, p)
-    bound = p**spec.order + 1
-    state = s0[1:] + [sum(k * v for k, v in zip(ks, s0)) % p]
-    steps = 1
-    while state != s0:
-        state = state[1:] + [sum(k * v for k, v in zip(ks, state)) % p]
-        steps += 1
-        if steps > bound:
-            raise RuntimeError("period walk exceeded the state count")
-    return steps
-
-
-def _root_order_period(spec: RecurrenceSpec, p: int) -> int:
-    """lcm over the distinct-degree blocks h of f of the order of x mod h.
-
-    A block h is a product of irreducibles of one degree e, so x^(p^e - 1)
-    is 1 mod h, and the order of x comes from stripping each prime of
-    p^e - 1 while the smaller power is still 1.
-    """
-    blocks = _ddf([c % p for c in spec.char_poly()], p)  # monic
-    if len({e for _, e in blocks}) < len(blocks):
-        raise ValueError("ramified prime: characteristic polynomial not squarefree")
-    period = 1
-    for h, e in blocks:
-        order = p**e - 1
-        for q in factor_integer(order).prime_divisors():
-            while order % q == 0 and _x_pow_mod(order // q, h, p) == [1]:
-                order //= q
-        period = lcm(period, order)
-    return period
-
-
-def period_mod(spec: RecurrenceSpec, p: int, method: str = "brute") -> int:
-    """Least period of the state orbit mod p.
-
-    method "brute" walks the orbit until the initial state recurs; method
-    "root-orders" returns the lcm of the multiplicative orders of the roots
-    of the characteristic polynomial in their splitting fields, which is a
-    multiple of the brute period and equals it when no gamma coefficient
-    vanishes.
-    """
-    if spec.coeffs[0] % p == 0:
-        raise ValueError("not purely periodic")
-    if method == "brute":
-        return _walk_period(spec, p)
-    if method == "root-orders":
-        return _root_order_period(spec, p)
-    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,12 @@ from .charpoly import analyze_poly
 from .detect import DEFAULT_POLICY, DetectPolicy, detect_full, exact_zeros
 from .recurrence import RecurrenceSpec
 
-# A sweep factors only p - 1, so its caps bound run time and column width:
-# limit^(d-1) < 2^63 keeps the Q column, (p^(d-1)-1)/(p-1), within 63 bits.
+# A sweep factors only p - 1, so its caps bound run time only; the Q column,
+# (p^(d-1)-1)/(p-1), is an exact Python int at any order and limit.
 MAX_LIMIT = 3_000_000
 MAX_ORDER = 5
 # A pool forks all its workers at its first submit, so their count is capped.
 MAX_WORKERS = 64
-_WORD_GUARD = 2**63
 
 CSV_HEADER = "p,pattern,squarefree,excluded_reason,verdict,method,witness_n,ord_G,index_G,Q"
 
@@ -56,8 +55,8 @@ class SweepConfig:
             raise ValueError(f"order {d} exceeds the sweep cap of {MAX_ORDER}")
         if self.limit < 2:
             raise ValueError(f"limit must be at least 2, the least prime, got {self.limit}")
-        if self.limit > MAX_LIMIT or self.limit ** max(1, d - 1) >= _WORD_GUARD:
-            raise ValueError(f"limit {self.limit} violates the sweep guard for order {d}")
+        if self.limit > MAX_LIMIT:
+            raise ValueError(f"limit {self.limit} violates the sweep guard: at most {MAX_LIMIT}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}, got {self.workers}")
         for path in (self.csv_path, self.json_path):

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from recdiv.arith import (
     FactoredInteger,
     all_divisors,
-    euler_phi,
     factor_integer,
     is_prime,
     mult_order,
     sieve_primes,
 )
-from recdiv.orderstats import collect_order_rows
+from recdiv.orderstats import _root_indices
+
+from oracles import euler_phi
 
 
 def _trial_is_prime(n: int) -> bool:
@@ -122,11 +123,11 @@ def test_odd_prime_totients_match_factor_integer_to_2e5():
     # the order-stats index sieve splits the totient p - 1 of every odd prime
     # into order * index without factoring it; for base 2 every odd prime
     # qualifies, and each split must match mult_order over factor_integer(p - 1)
-    rows = collect_order_rows([-2, 1], 2 * 10**5)
-    assert [r.p for r in rows] == sieve_primes(2 * 10**5)[1:]
-    for r in rows:
-        order = mult_order(2, r.p, factor_integer(r.p - 1))
-        assert (r.root, r.order, r.index) == (2, order, (r.p - 1) // order)
+    rows = list(_root_indices([-2, 1], 2 * 10**5))
+    assert [p for p, _, _ in rows] == sieve_primes(2 * 10**5)[1:]
+    for p, root, index in rows:
+        order = mult_order(2, p, factor_integer(p - 1))
+        assert (root, index) == (2, (p - 1) // order)
 
 
 def test_mult_order_examples():

@@ -2,17 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from recdiv.arith import euler_phi, sieve_primes
-from recdiv.charpoly import (
-    analyze_poly,
-    discriminant,
-    expected_pattern_density,
-    nondegeneracy,
-)
-from recdiv.charpoly import _ratio_orders
+from recdiv.arith import sieve_primes
+from recdiv.charpoly import analyze_poly, discriminant, expected_pattern_density
+from recdiv.charpoly import _least_ratio_order, _ratio_orders
 from recdiv.fppoly import pattern
 
 from conftest import TRIB_POLY
+from oracles import euler_phi
 
 CYCLIC_CUBIC = (-1, -2, 1, 1)  # x^3 + x^2 - 2x - 1, discriminant 49
 
@@ -63,21 +59,24 @@ def test_irreducibility_degree_sum_path():
 
 
 def test_nondegeneracy_examples():
-    verdict, m = nondegeneracy([1, 0, 0, 0, 1])  # x^4 + 1
+    verdict, m = _least_ratio_order([1, 0, 0, 0, 1])  # x^4 + 1
     assert verdict == "no" and m == 2  # -1 is a ratio of two 8th roots of unity
-    assert nondegeneracy(TRIB_POLY) == ("yes", None)
-    verdict, m = nondegeneracy([2, -2, 1])  # roots 1 +- i
+    assert _least_ratio_order(list(TRIB_POLY)) == ("yes", None)
+    verdict, m = _least_ratio_order([2, -2, 1])  # roots 1 +- i
     assert verdict == "no" and m == 4
-    assert nondegeneracy([1, 1, 1]) == ("no", 3)  # primitive cube roots of unity
-    assert nondegeneracy([3, -3, 1]) == ("no", 6)  # roots sqrt(3) e^(+-i pi/6)
-    assert nondegeneracy([-2, 0, 0, 1]) == ("no", 3)  # cube roots of 2
-    assert nondegeneracy([0, 1, 0, 1]) == ("no", 2)  # 0 and +-i
-    assert nondegeneracy([0, 1, 1]) == ("yes", None)  # 0 and -1
+    assert _least_ratio_order([1, 1, 1]) == ("no", 3)  # primitive cube roots of unity
+    assert _least_ratio_order([3, -3, 1]) == ("no", 6)  # roots sqrt(3) e^(+-i pi/6)
+    assert _least_ratio_order([-2, 0, 0, 1]) == ("no", 3)  # cube roots of 2
+    assert _least_ratio_order([0, 1, 0, 1]) == ("no", 2)  # 0 and +-i
+    assert _least_ratio_order([0, 1, 1]) == ("yes", None)  # 0 and -1
 
 
-def test_nondegeneracy_rejects_repeated_roots():
-    with pytest.raises(ValueError, match="repeated roots"):
-        nondegeneracy([1, 2, 1])  # (x+1)^2
+def test_nondegeneracy_flags_repeated_roots():
+    # a repeated root is a ratio of order 1; analyze_poly reports it as
+    # degenerate with root-of-unity order 1
+    assert _least_ratio_order([1, 2, 1]) == ("no", 1)  # (x+1)^2
+    profile = analyze_poly([1, 2, 1])
+    assert (profile.nondegenerate, profile.degeneracy_order) == ("no", 1)
 
 
 def test_nondegeneracy_reversal_invariance():
@@ -88,7 +87,7 @@ def test_nondegeneracy_reversal_invariance():
         ((2, -2, 1), (1, -2, 2)),
     ]
     for poly, rev in cases:
-        assert nondegeneracy(poly)[0] == nondegeneracy(rev)[0]
+        assert _least_ratio_order(list(poly))[0] == _least_ratio_order(list(rev))[0]
 
 
 def test_ratio_orders_match_euler_phi_filter():

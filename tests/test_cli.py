@@ -138,7 +138,6 @@ def test_order_stats_limit_above_cap_is_usage_error(capsys, monkeypatch):
     def no_sieve(*args):
         raise AssertionError("sieved before rejecting the limit")
 
-    monkeypatch.setattr(recdiv.orderstats, "sieve_primes", no_sieve)
     monkeypatch.setattr(recdiv.orderstats, "prime_flags", no_sieve)
     for args in (["--base", "2"], ["--poly", "1,-1,-1,-1"]):
         assert cli(["order-stats", *args, "--limit", str(MAX_LIMIT + 1)]) == 1
@@ -186,6 +185,32 @@ def test_demo_check_passes(capsys):
     out = capsys.readouterr().out
     assert "25/7" in out
     assert "check passed" in out
+    # 3 is the least limit: p = 2 is ramified, p = 3 is checked
+    assert cli(["demo", "--check", "--limit", "3"]) == 0
+    assert "check passed: 1 primes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limit", ["-5", "2"])
+def test_demo_limit_below_three_is_usage_error(capsys, limit):
+    # no prime below 3 is checked, so a check there could only fail with no mismatch
+    assert cli(["demo", "--check", "--limit", limit]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and f"--limit must be at least 3, got {limit}" in err
+
+
+def test_demo_limit_above_sweep_cap_is_usage_error(capsys, monkeypatch):
+    # the cap is checked before base_table builds a sieve of that size
+    import recdiv.cli
+    from recdiv.sweep import MAX_LIMIT
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built the base table before rejecting the limit")
+
+    monkeypatch.setattr(recdiv.cli, "base_table", no_table)
+    assert cli(["demo", "--check", "--limit", str(MAX_LIMIT + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--limit must be at most {MAX_LIMIT}" in err
 
 
 def test_failed_prime_names_prime_and_sequence(capsys, monkeypatch):

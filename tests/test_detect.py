@@ -7,13 +7,14 @@ from recdiv.detect import (
     Excluded,
     StructuralContext,
     build_context,
-    cross_validate,
     detect_full,
     structural_detect,
 )
 from recdiv.detect import _verified_divisor
 from recdiv.fppoly import _pow_mod, factor_mod_p, solve_gamma
 from recdiv.recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
+
+from oracles import cross_validate
 
 TETRANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1], [1, 1, 1, 1])
 PENTANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1, -1], [1, 1, 1, 1, 1])

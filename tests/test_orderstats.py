@@ -5,20 +5,14 @@ import pytest
 from recdiv.arith import factor_integer, mult_order, sieve_primes
 from recdiv.charpoly import discriminant
 from recdiv.fppoly import fp_root
-from recdiv.orderstats import (
-    MAX_LIMIT,
-    OrderRow,
-    artin_fraction,
-    base_index_histogram,
-    collect_order_rows,
-    index_histogram,
-)
+from recdiv.orderstats import MAX_LIMIT, artin_fraction, index_histogram
+from recdiv.orderstats import _root_indices
 
 from conftest import TRIB_POLY
 
 
-def root_order_row(coeffs, p: int) -> OrderRow | None:
-    """Per-prime oracle: the row for the smallest root mod p, or None.
+def root_index(coeffs, p: int) -> tuple[int, int, int] | None:
+    """Per-prime oracle: (p, smallest root mod p, its index), or None.
 
     The order comes from mult_order over a factored p - 1, not from the
     prime-power sieve. None at p = 2, where P has no root mod p, or where
@@ -30,28 +24,31 @@ def root_order_row(coeffs, p: int) -> OrderRow | None:
     root = fp_root(coeffs, p)
     if root is None or root == 0:
         return None
-    order = mult_order(root, p, factor_integer(p - 1))
-    return OrderRow(p, root, order, (p - 1) // order)
+    return p, root, (p - 1) // mult_order(root, p, factor_integer(p - 1))
 
 
-def _oracle_rows(coeffs, limit: int) -> list[OrderRow]:
+def _oracle_rows(coeffs, limit: int) -> list[tuple[int, int, int]]:
     lead, disc = coeffs[-1], discriminant(coeffs) if len(coeffs) > 2 else 1
-    rows = (root_order_row(coeffs, p) for p in sieve_primes(limit) if lead % p and disc % p)
+    rows = (root_index(coeffs, p) for p in sieve_primes(limit) if lead % p and disc % p)
     return [r for r in rows if r is not None]
+
+
+def _rows(coeffs, limit: int) -> list[tuple[int, int, int]]:
+    return list(_root_indices(coeffs, limit))
 
 
 def test_row_examples():
     # oracle: 2^3 == 1 mod 7, and 2 generates mod 11
     assert pow(2, 3, 7) == 1
     assert sorted(pow(2, e, 11) for e in range(1, 11)) == list(range(1, 11))
-    rows = {r.p: r for r in collect_order_rows([-2, 1], 11)}
-    assert rows[7] == OrderRow(7, 2, 3, 2)
-    assert rows[11] == OrderRow(11, 2, 10, 1)
+    rows = {row[0]: row for row in _rows([-2, 1], 11)}
+    assert rows[7] == (7, 2, 2)  # order 3
+    assert rows[11] == (11, 2, 1)  # order 10
     assert 2 not in rows  # p = 2 carries no order data
-    assert 5 not in {r.p for r in collect_order_rows(TRIB_POLY, 11)}  # no root mod 5
-    assert 7 not in {r.p for r in collect_order_rows([-7, 1], 11)}  # root 0: p divides P(0)
+    assert 5 not in {p for p, _, _ in _rows(TRIB_POLY, 11)}  # no root mod 5
+    assert 7 not in {p for p, _, _ in _rows([-7, 1], 11)}  # root 0: p divides P(0)
     # the root 1 of x - 1 has index 2 at p = 3, below every 2q + 1 for odd q
-    assert collect_order_rows([-1, 1], 3) == [OrderRow(3, 1, 1, 2)]
+    assert _rows([-1, 1], 3) == [(3, 1, 2)]
 
 
 # x - 2, x + 3, 2x - 3, Tribonacci (up to three roots mod p), x^3 - 2, and
@@ -64,8 +61,7 @@ ORACLE_POLYS = ([-2, 1], [3, 1], [-3, 2], TRIB_POLY, [-2, 0, 0, 1], [1, 1])
 @pytest.mark.parametrize("limit", [3, 4, 5, 7, 100, 101, 102, 103, 107, 2 * 10**4, 65521])
 def test_sieved_rows_match_per_prime_orders(coeffs, limit):
     # limits around 2q + 1, where the sieve stops taking primes q, and around primes
-    got = collect_order_rows(coeffs, limit)
-    assert got == _oracle_rows(coeffs, limit)
+    assert _rows(coeffs, limit) == _oracle_rows(coeffs, limit)
 
 
 @pytest.mark.parametrize("coeffs", ([-2, 1], [-3, 2], TRIB_POLY, [1, 1]))
@@ -75,7 +71,7 @@ def test_rows_match_per_prime_orders_where_the_sieve_stops(coeffs, q):
     # at 2q + 1 and 2q + 2 it must run. 2q + 1 is prime for q = 3 and 5, and
     # there the root -1 of x + 1 has index q
     for limit in (2 * q, 2 * q + 1, 2 * q + 2):
-        assert collect_order_rows(coeffs, limit) == _oracle_rows(coeffs, limit), limit
+        assert _rows(coeffs, limit) == _oracle_rows(coeffs, limit), limit
 
 
 # x - a for bases that exercise the q = 2 classes mod 4|n|, n = -c0 c1: -1
@@ -93,7 +89,7 @@ LINEAR_POLYS = (
 @pytest.mark.parametrize("limit", [3, 4, 5, 7, 100, 101, 103, 2 * 10**4])
 def test_linear_rows_match_per_prime_orders(coeffs, limit):
     # the formula root and the class-memo q = 2 level against fp_root and mult_order
-    assert collect_order_rows(coeffs, limit) == _oracle_rows(coeffs, limit)
+    assert _rows(coeffs, limit) == _oracle_rows(coeffs, limit)
 
 
 def test_limit_above_cap_is_rejected_before_the_sieve(monkeypatch):
@@ -102,10 +98,9 @@ def test_limit_above_cap_is_rejected_before_the_sieve(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("sieved before rejecting the limit")
 
-    monkeypatch.setattr(recdiv.orderstats, "sieve_primes", no_sieve)
     monkeypatch.setattr(recdiv.orderstats, "prime_flags", no_sieve)
     for call in (
-        lambda: collect_order_rows([-2, 1], MAX_LIMIT + 1),
+        lambda: _rows([-2, 1], MAX_LIMIT + 1),
         lambda: index_histogram(TRIB_POLY, MAX_LIMIT + 1, [1]),
         lambda: artin_fraction(2, MAX_LIMIT + 1),
     ):
@@ -115,21 +110,13 @@ def test_limit_above_cap_is_rejected_before_the_sieve(monkeypatch):
 
 def test_oracle_limit_reaches_prime_power_indices():
     # q^k with k >= 2 divides the index at some p == 1 mod 8, 9 and 25 below 2e4
-    indices = [r.index for coeffs in ORACLE_POLYS for r in collect_order_rows(coeffs, 2 * 10**4)]
+    indices = [k for coeffs in ORACLE_POLYS for _, _, k in _rows(coeffs, 2 * 10**4)]
     for qk in (4, 8, 9, 25):
         assert any(k % qk == 0 for k in indices), qk
 
 
-def test_row_validation():
-    with pytest.raises(ValueError):
-        OrderRow(7, 2, 2, 3)  # 2 * 3 == p - 1 but 2^2 != 1 mod 7
-    with pytest.raises(ValueError):
-        OrderRow(7, 2, 3, 3)  # order * index != p - 1
-
-
 def test_histogram_monotone_and_exhaustive():
-    rows = collect_order_rows(TRIB_POLY, 3000)
-    max_index = max(r.index for r in rows)
+    max_index = max(k for _, _, k in _rows(TRIB_POLY, 3000))
     grid = [1, 2, 4, 8, max_index]
     hist = index_histogram(TRIB_POLY, 3000, grid)
     fracs = [f for _, f in hist]
@@ -138,11 +125,11 @@ def test_histogram_monotone_and_exhaustive():
 
 
 def test_histogram_matches_direct_count_on_any_grid():
-    rows = collect_order_rows(TRIB_POLY, 5000)
-    max_index = max(r.index for r in rows)
+    indices = [k for _, _, k in _rows(TRIB_POLY, 5000)]
+    max_index = max(indices)
     grids = ([16, 1, 4, 1], [0, max_index, 3, 3, 2], [max_index + 5, 7, 1, 1], [])
     for grid in grids:
-        direct = [(c, Fraction(sum(r.index <= c for r in rows), len(rows))) for c in grid]
+        direct = [(c, Fraction(sum(k <= c for k in indices), len(indices))) for c in grid]
         assert index_histogram(TRIB_POLY, 5000, grid) == direct, grid
 
 
@@ -159,6 +146,7 @@ def test_histogram_requires_rows():
 
 def test_artin_square_base_is_never_primitive():
     assert artin_fraction(4, 500) == 0
+    assert artin_fraction(2, 2) == Fraction(0, 1)  # no odd prime, no root index
 
 
 def test_artin_minus_one():
@@ -191,18 +179,11 @@ def test_artin_equals_histogram_at_c_one():
 
 
 def test_rows_skip_ramified_and_leading(tribonacci):
-    rows = collect_order_rows(TRIB_POLY, 1000)
-    ps = {r.p for r in rows}
+    rows = _rows(TRIB_POLY, 1000)
+    ps = {p for p, _, _ in rows}
     assert 2 not in ps and 11 not in ps  # disc = -44
-    for r in rows:
-        assert mult_order(r.root, r.p) == r.order
-
-
-def test_base_order_histogram(tribonacci):
-    hist = base_index_histogram(tribonacci, 2000, [1, 2, 4, 8, 10**6])
-    fracs = [f for _, f in hist]
-    assert fracs == sorted(fracs)
-    assert fracs[-1] == 1
+    for p, root, k in rows:
+        assert mult_order(root, p) == (p - 1) // k
 
 
 def test_index_one_is_sympy_primitive_root():
@@ -210,11 +191,11 @@ def test_index_one_is_sympy_primitive_root():
     sympy = pytest.importorskip("sympy")
     odd = sieve_primes(10**5)[1:]
     for a in (2, -3, 3, 5, -2, 10):
-        rows = collect_order_rows([-a, 1], 10**5)
-        assert [r.p for r in rows] == [p for p in odd if a % p], a
-        for r in rows:
-            assert (r.index == 1) == sympy.is_primitive_root(r.root, r.p), (a, r)
-    rows = collect_order_rows(TRIB_POLY, 2 * 10**4)
+        rows = _rows([-a, 1], 10**5)
+        assert [p for p, _, _ in rows] == [p for p in odd if a % p], a
+        for p, root, k in rows:
+            assert (k == 1) == sympy.is_primitive_root(root, p), (a, p)
+    rows = _rows(TRIB_POLY, 2 * 10**4)
     assert len(rows) > 1000
-    for r in rows:
-        assert (r.index == 1) == sympy.is_primitive_root(r.root, r.p), r
+    for p, root, k in rows:
+        assert (k == 1) == sympy.is_primitive_root(root, p), p

@@ -12,14 +12,14 @@ from recdiv.recurrence import (
     BruteResult,
     RecurrenceSpec,
     has_zero_bruteforce,
-    period_mod,
-    term_int,
     term_iter,
     term_mod,
     term_stream,
     zero_term_scan,
 )
 from recdiv.recurrence import _block_scan, _lane_bits, _lane_masks, _scan_kernel
+
+from oracles import period_mod, term_int
 
 
 def test_spec_validation():

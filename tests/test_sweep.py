@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from recdiv.arith import sieve_primes
 from recdiv.detect import DetectPolicy, detect_full
 from recdiv.recurrence import RecurrenceSpec
 from recdiv.sweep import (
+    _block_rows,
     CSV_HEADER,
     PrimeRow,
     SweepConfig,
@@ -123,7 +125,9 @@ def test_guard_rejects_oversized_limits(tribonacci):
         run_sweep(SweepConfig(spec=tribonacci, limit=4_000_000))
     wide = RecurrenceSpec((1,) * 5, (1,) * 5)
     with pytest.raises(ValueError, match="sweep guard"):
-        run_sweep(SweepConfig(spec=wide, limit=100_000))
+        run_sweep(SweepConfig(spec=wide, limit=3_000_001))
+    # order 5 is no longer capped where limit^4 reaches 2^63 (from 55,109)
+    assert SweepConfig(spec=wide, limit=60_000).limit == 60_000
     sextic = RecurrenceSpec.from_char_poly([1, 0, 0, 0, 0, 0, -2], [1, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="order 6"):
         run_sweep(SweepConfig(spec=sextic, limit=50))
@@ -131,6 +135,31 @@ def test_guard_rejects_oversized_limits(tribonacci):
         run_sweep(SweepConfig(spec=tribonacci, limit=60, policy=DetectPolicy(brute_cap=0)))
     with pytest.raises(ValueError, match="r_cap must be at least 1"):
         run_sweep(SweepConfig(spec=tribonacci, limit=60, policy=DetectPolicy(r_cap=-3)))
+
+
+PENTANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1, -1], [1, 1, 1, 1, 1])
+
+
+def test_order_five_rows_past_the_old_word_guard():
+    # the first five primes above 55,108, where p^4 >= 2^63
+    primes = [p for p in sieve_primes(56_000) if p > 55_108][:5]
+    rows = _block_rows((PENTANACCI, primes, DetectPolicy()))
+    assert [r.p for r in rows] == primes
+    assert {r.method for r in rows} == {"structural", "brute"}
+    for row in rows:
+        pat, ctx, v = detect_full(PENTANACCI, row.p)
+        assert (row.pattern, row.verdict, row.method, row.witness) == (
+            pat.key, v.kind, v.method, v.witness)
+        assert (row.ord_g, row.index_g, row.q) == (
+            (ctx.ord_base, ctx.index_base, ctx.q) if ctx else (None, None, None))
+
+
+def test_csv_prints_q_above_63_bits_exactly():
+    p = 2_999_957  # a (4, 1) prime of Pentanacci below the 3e6 sweep cap
+    rows = _block_rows((PENTANACCI, [p], DetectPolicy(r_cap=1000, brute_cap=1000)))
+    q = (p**4 - 1) // (p - 1)
+    assert rows[0].q == q > 2**63
+    assert csv_lines(rows)[1].split(",")[-1] == str(q) == "26998848016385922300"
 
 
 def test_merge_identity_commutativity_partition(tribonacci, small_sweep):

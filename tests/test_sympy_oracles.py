@@ -8,7 +8,7 @@ import random
 import pytest
 
 from recdiv.arith import mult_order, sieve_primes
-from recdiv.charpoly import discriminant, nondegeneracy
+from recdiv.charpoly import _least_ratio_order, discriminant
 
 sympy = pytest.importorskip("sympy")
 X, Y = sympy.symbols("x y")
@@ -75,13 +75,13 @@ CASES = _cases()
 def test_cases_cover_degrees_leads_and_degenerate_orders():
     assert {len(c) - 1 for c in CASES} == {2, 3, 4, 5}
     assert any(abs(c[-1]) > 1 for c in CASES)
-    orders = {nondegeneracy(c)[1] for c in CASES}
+    orders = {_least_ratio_order(c)[1] for c in CASES}
     assert {None, 2, 3, 4, 6} <= orders
 
 
 @pytest.mark.parametrize("coeffs", CASES, ids=str)
 def test_nondegeneracy_matches_ratio_polynomial(coeffs):
-    assert nondegeneracy(coeffs) == _ratio_nondegeneracy(coeffs)
+    assert _least_ratio_order(coeffs) == _ratio_nondegeneracy(coeffs)
 
 
 @pytest.mark.parametrize("coeffs", CASES, ids=str)
