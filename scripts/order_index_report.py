@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Index histograms side by side: smallest root of P vs the structural base.
 
-The base's index is read off the sweep's rows (`index_G`), set at every
-prime the structural detector takes.
+The base's index is `build_context(spec, p).index_base` at every prime the
+structural detector takes: the sweep's `index_G` column, without the scans.
 
 Usage: python scripts/order_index_report.py [LIMIT]
 """
 
 import sys
 
+from recdiv.arith import sieve_primes
+from recdiv.detect import StructuralContext, build_context
 from recdiv.orderstats import index_histogram
 from recdiv.recurrence import RecurrenceSpec
-from recdiv.sweep import SweepConfig, run_sweep
 
 
 def main() -> None:
@@ -19,8 +20,8 @@ def main() -> None:
     grid = [1, 2, 3, 4, 6, 8, 16, 32]
     spec = RecurrenceSpec.from_char_poly([1, -1, -1, -1], [1, 1, 1])
     roots = dict(index_histogram([-1, -1, -1, 1], limit, grid))
-    rows, _ = run_sweep(SweepConfig(spec=spec, limit=limit))
-    bases = [r.index_g for r in rows if r.index_g is not None]
+    contexts = (build_context(spec, p) for p in sieve_primes(limit))
+    bases = [c.index_base for c in contexts if isinstance(c, StructuralContext)]
     print(f"primes <= {limit}, fraction with index <= C")
     print("C     root of P   detector base G")
     for c in grid:

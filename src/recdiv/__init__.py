@@ -12,12 +12,7 @@ from .detect import (
 )
 from .fppoly import FactorPattern, fp_root, pattern
 from .orderstats import index_histogram
-from .recurrence import (
-    RecurrenceSpec,
-    has_zero_bruteforce,
-    term_mod,
-    zero_term_scan,
-)
+from .recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 from .sweep import (
     PrimeRow,
     SweepConfig,

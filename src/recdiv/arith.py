@@ -176,17 +176,15 @@ def factor_integer(n: int) -> FactoredInteger:
     return FactoredInteger(value, tuple(sorted(found.items())))
 
 
-def mult_order(a: int, p: int, totient: FactoredInteger | None = None) -> int:
+def mult_order(a: int, p: int, totient: FactoredInteger) -> int:
     """Least e >= 1 with a**e == 1 mod p, for prime p and a not divisible by p.
 
-    totient must be the factorization of p - 1; it is computed when omitted.
+    totient must be the factorization of p - 1.
     """
     a %= p
     if a == 0:
         raise ValueError("zero has no multiplicative order")
-    if totient is None:
-        totient = factor_integer(p - 1)
-    elif totient.value != p - 1:
+    if totient.value != p - 1:
         raise ValueError("totient must factor p - 1")
     order = p - 1
     for q, _ in totient.factors:

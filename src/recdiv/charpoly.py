@@ -1,5 +1,7 @@
 """Hypothesis checks on characteristic polynomials.
 
+The characteristic polynomial of an integer recurrence is monic, and so is
+every polynomial here: `discriminant` and `analyze_poly` reject any other.
 Exact integer arithmetic throughout, with no Sylvester matrices: for a
 monic polynomial with roots r_1..r_d and power sums s_k, the Hankel matrix
 [s_(m(i+j))] for 0 <= i, j < d is V V^T with V the Vandermonde matrix of the
@@ -71,28 +73,19 @@ def _disc(poly: list[int]) -> int:
 
 
 def discriminant(coeffs) -> int:
-    """Exact discriminant of P, of degree d and leading coefficient a.
-
-    The monic a^(d-1) P(x / a) has the roots of P times a, so its
-    discriminant, the Hankel determinant of its power sums, is
-    a^((d-1)(d-2)) times that of P.
-    """
+    """Exact discriminant of a monic P of degree d >= 2: the Hankel
+    determinant of its power sums."""
     poly = _ipoly(coeffs)
     d = len(poly) - 1
     if d < 2:
         raise ValueError("discriminant needs degree >= 2")
-    sums = _power_sums(_scaled_monic(poly), 2 * d - 2)
-    return _hankel_det(sums, d, 1) // poly[-1] ** ((d - 1) * (d - 2))
+    if poly[-1] != 1:
+        raise ValueError(f"discriminant needs a monic polynomial, got {poly}")
+    return _hankel_det(_power_sums(poly, 2 * d - 2), d, 1)
 
 
 # ---------------------------------------------------------------------------
 # power sums and non-degeneracy
-
-
-def _scaled_monic(poly: list[int]) -> list[int]:
-    """lead^(d-1) P(x / lead): monic, its roots are lead times P's roots."""
-    d, lead = len(poly) - 1, poly[-1]
-    return [c * lead ** (d - 1 - i) for i, c in enumerate(poly[:-1])] + [1]
 
 
 def _power_sums(monic: list[int], count: int) -> list[int]:
@@ -132,23 +125,21 @@ def _ratio_orders(d: int) -> tuple[int, ...]:
 
 
 def _least_ratio_order(poly: list[int]) -> tuple[str, int | None]:
-    """Whether no ratio of two distinct roots of poly (trimmed) is a root of unity.
+    """Whether no ratio of two distinct roots of poly (trimmed, monic) is a root of unity.
 
     Two distinct roots have a ratio of order dividing m exactly when their
     m-th powers coincide, that is, when the Hankel determinant
     det[s_(m(i+j))] of the power sums vanishes. A ratio lies in a field of
     degree at most d(d-1), so its order m has phi(m) <= d(d-1), and the
     least such m is the least order of a ratio. Returns ("no", m) for that
-    m, or ("yes", None); a repeated root gives ("no", 1). The roots are
-    first scaled by the leading coefficient, which keeps their ratios and
-    makes the polynomial monic. A root at 0 needs no care: its powers are 0
-    and no other root's are.
+    m, or ("yes", None); a repeated root gives ("no", 1). poly is monic. A
+    root at 0 needs no care: its powers are 0 and no other root's are.
     """
     d = len(poly) - 1
     if d < 2:
         return ("yes", None)
     orders = _ratio_orders(d)
-    sums = _power_sums(_scaled_monic(poly), (2 * d - 2) * orders[-1])
+    sums = _power_sums(poly, (2 * d - 2) * orders[-1])
     for m in orders:
         if _hankel_det(sums, d, m) == 0:
             return ("no", m)

@@ -33,13 +33,7 @@ from functools import lru_cache
 
 from .arith import factor_integer, mult_order
 from .fppoly import FactorPattern, _eval, pattern
-from .recurrence import (
-    RecurrenceSpec,
-    has_zero_bruteforce,
-    term_mod,
-    term_stream,
-    zero_term_scan,
-)
+from .recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod, term_stream
 
 ZERO_SCAN_BOUND = 200
 
@@ -213,8 +207,15 @@ def structural_detect(
 
 @lru_cache(maxsize=64)
 def exact_zeros(spec: RecurrenceSpec) -> tuple[int, ...]:
-    """Indices n <= ZERO_SCAN_BOUND with a_n = 0 over the integers."""
-    return tuple(zero_term_scan(spec, ZERO_SCAN_BOUND))
+    """Indices n <= ZERO_SCAN_BOUND with a_n = 0 over the integers, by
+    walking the exact terms a_0..a_ZERO_SCAN_BOUND."""
+    zeros = []
+    window = list(spec.init)  # a_n..a_{n+d-1}
+    for n in range(ZERO_SCAN_BOUND + 1):
+        if window[0] == 0:
+            zeros.append(n)
+        window = window[1:] + [-sum(c * v for c, v in zip(spec.coeffs, window))]
+    return tuple(zeros)
 
 
 def detect_full(

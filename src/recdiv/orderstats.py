@@ -32,17 +32,17 @@ at every q-th entry of roots, so it is read through a strided memoryview
 of roots rather than a copied slice. `order-stats --base 2` peaks at
 20.6 MB RSS at 1e6 and at 58.2 MB at the 1e7 cap (README, Guards).
 
-A linear c1 x + c0, as for every fixed base a, has the one root
-r = -c0 / c1 at each prime, so its roots are filled from that formula. Its
-test at q = 2 mostly reuses answers: r = n / c1^2 with n = -c0 c1, so r is
-a square mod p exactly when n is, and by quadratic reciprocity the Legendre
-symbol (n/p) depends only on p mod 4|n|: (-1/p) on p mod 4, (2/p) on p mod
-8, and (m/p) for odd m on p mod 4|m|. One power at the first prime of each
-class decides the whole class. The modulus must be 4|n|, not 2|n|: for
-n = 2, p = 3 and p = 7 share a class mod 4, yet 2 is a square mod 7 only.
-Once 4|n| reaches the limit no two primes share a class, so that level
-keeps one power per prime. The deeper 2-power levels and every odd q are
-tested per prime as above.
+Every polynomial here is monic, as every command builds it; a linear one
+is x - a, as for every fixed base a. It has the one root a mod p at each
+prime, so its roots are filled from that formula. Its test at q = 2 mostly
+reuses answers: by quadratic reciprocity the Legendre symbol (a/p) depends
+only on p mod 4|a|: (-1/p) on p mod 4, (2/p) on p mod 8, and (m/p) for odd
+m on p mod 4|m|. One power at the first prime of each class decides the
+whole class. The modulus must be 4|a|, not 2|a|: for a = 2, p = 3 and
+p = 7 share a class mod 4, yet 2 is a square mod 7 only. Once 4|a| reaches
+the limit no two primes share a class, so that level keeps one power per
+prime. The deeper 2-power levels and every odd q are tested per prime as
+above.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ def _square_roots(poly, roots, level, limit: int) -> Iterator[int]:
     """The primes p of level whose root is a square mod p, in level's order.
 
     Euler's criterion decides each: r is a square when r^((p-1)/2) == 1.
-    For c1 x + c0, the class of p mod 4|c0 c1| decides it (module docstring),
-    so below the limit one power per class is taken and reused.
+    For x - a, the class of p mod 4|a| decides it (module docstring), so
+    below the limit one power per class is taken and reused.
     """
-    classes = 4 * abs(poly[0] * poly[1]) if len(poly) == 2 else limit
+    classes = 4 * abs(poly[0]) if len(poly) == 2 else limit
     if classes >= limit:  # no two primes up to the limit share a class
         yield from (p for p in level if pow(roots[p >> 1], p >> 1, p) == 1)
         return
@@ -99,29 +99,28 @@ def _square_roots(poly, roots, level, limit: int) -> Iterator[int]:
 def _root_indices(coeffs, limit: int) -> Iterator[tuple[int, int, int]]:
     """(p, root, index) at each qualifying prime up to limit, ascending.
 
-    A prime qualifies when it is odd, divides neither the leading
-    coefficient nor the discriminant, and the polynomial has a nonzero root
-    mod p; root is the smallest one. roots[p >> 1] holds it, or 0 where p
-    does not qualify. Each row is checked before it is yielded: order times
-    index must equal p - 1, and root^order must be 1 mod p.
+    The polynomial must be monic and nonconstant. A prime qualifies when it
+    is odd, does not divide the discriminant, and the polynomial has a
+    nonzero root mod p; root is the smallest one, and x - a has the one
+    root a. roots[p >> 1] holds it, or 0 where p does not qualify. Each row
+    is checked before it is yielded: order times index must equal p - 1,
+    and root^order must be 1 mod p.
     """
     poly = _ipoly(coeffs)
-    if len(poly) < 2:
-        raise ValueError("need a nonconstant polynomial")
+    if len(poly) < 2 or poly[-1] != 1:
+        raise ValueError(f"need a monic polynomial of degree >= 1, got {poly}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
     primes = array("I", compress(range(limit + 1), prime_flags(limit)))
     roots = array("I", [0]) * (limit // 2 + 1)
-    if len(poly) == 2:  # the one root -c0 / c1, 0 where p divides c0
-        c0, c1 = poly
+    if len(poly) == 2:  # the one root a of x - a, 0 where p divides a
+        a = -poly[0]
         for p in islice(primes, 1, None):
-            if c1 % p:
-                roots[p >> 1] = -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
+            roots[p >> 1] = a % p
     else:
-        lead = poly[-1]
         disc = _disc(poly)
         for p in islice(primes, 1, None):
-            if lead % p and disc % p:
+            if disc % p:
                 roots[p >> 1] = fp_root(poly, p) or 0
     index = array("I", [1]) * len(roots)
     odd = range(1, limit + 1, 2)

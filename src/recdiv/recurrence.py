@@ -1,4 +1,4 @@
-"""Linear recurrence engine over Z and over F_p.
+"""Integer linear recurrences and their terms mod p.
 
 A recurrence of order d is stored by the coefficients c_0..c_{d-1} of
 a_{n+d} + c_{d-1} a_{n+d-1} + ... + c_0 a_n = 0 together with the initial
@@ -57,10 +57,6 @@ from itertools import islice
 
 from .fppoly import _seq, _x_pow_mod
 
-# Exact integer terms are only computed below this index; entries grow
-# exponentially in bit size, so large n must go through term_mod.
-TERM_INT_GUARD = 10_000
-
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
@@ -95,18 +91,6 @@ class RecurrenceSpec:
         c = ",".join(str(v) for v in self.coeffs)
         a = ",".join(str(v) for v in self.init)
         return f"c={c};a={a}"
-
-
-def term_iter(spec: RecurrenceSpec):
-    """Yields the exact integer terms a_0, a_1, ... indefinitely."""
-    window = list(spec.init)
-    d = spec.order
-    for v in window:
-        yield v
-    while True:
-        nxt = -sum(c * v for c, v in zip(spec.coeffs, window))
-        yield nxt
-        window = window[1:] + [nxt] if d > 1 else [nxt]
 
 
 def term_mod(spec: RecurrenceSpec, n: int, p: int) -> int:
@@ -168,8 +152,7 @@ class BruteResult:
 
     kind: str  # "divisor" | "nondivisor" | "capped"
     witness: int | None = None
-    period: int | None = None
-    steps: int = 0
+    steps: int = 0  # terms scanned: a nondivisor's is its period
 
 
 # Terms the packed zero scan tests per big-integer step (see _block_scan).
@@ -307,7 +290,7 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
             state = x >> i * shift & span  # lanes i..i+d-1
             if all(((state >> k * shift & mask) * p & mask) % p == s0[k] for k in range(1, d)):
                 if n + i <= cap:
-                    return BruteResult("nondivisor", period=n + i, steps=n + i)
+                    return BruteResult("nondivisor", steps=n + i)
                 break
             starts &= starts - 1
     # a zero or return past the cap lies in the last block, so the loop ends
@@ -338,17 +321,5 @@ def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
         if zero < cap:
             return BruteResult("divisor", witness=zero, steps=zero + 1)
     elif cap >= 1:
-        return BruteResult("nondivisor", period=1, steps=1)
+        return BruteResult("nondivisor", steps=1)
     return BruteResult("capped", steps=cap)
-
-
-def zero_term_scan(spec: RecurrenceSpec, bound: int) -> list[int]:
-    """Indices n <= bound with a_n = 0 exactly (over the integers)."""
-    if bound > TERM_INT_GUARD:
-        raise ValueError("bound exceeds the exact-term guard")
-    out = []
-    it = term_iter(spec)
-    for n in range(bound + 1):
-        if next(it) == 0:
-            out.append(n)
-    return out

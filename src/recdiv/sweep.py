@@ -36,9 +36,9 @@ class SweepConfig:
 
     Rejects, with a ValueError, an order or limit beyond the sweep guards,
     a limit below 2, a worker count outside 1..MAX_WORKERS, an output
-    path that is a directory or whose directory does not exist, and a CSV
-    and a JSON path that resolve to one file, so a bad path fails before
-    the sweep runs.
+    path that is empty, is a directory or whose directory does not exist,
+    and a CSV and a JSON path that resolve to one file, so a bad path fails
+    before the sweep runs.
     """
 
     spec: RecurrenceSpec
@@ -59,7 +59,9 @@ class SweepConfig:
             raise ValueError(f"limit {self.limit} violates the sweep guard: at most {MAX_LIMIT}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}, got {self.workers}")
-        for path in (self.csv_path, self.json_path):
+        for what, path in (("CSV", self.csv_path), ("JSON", self.json_path)):
+            if path == "":
+                raise ValueError(f"cannot write the {what}: its path is empty")
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"cannot write {path}: its directory does not exist")
             if path and os.path.isdir(path):

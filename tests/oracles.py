@@ -3,7 +3,8 @@
 Each one computes, by a route of its own, a quantity that the library
 decides another way, so the tests can compare the two:
 
-- `term_int`: exact integer terms, against which `term_mod` is checked;
+- `term_iter` and `term_int`: exact integer terms, against which
+  `term_stream`, `term_mod` and `detect.exact_zeros` are checked;
 - `period_mod`: the period mod p by walking the state orbit ("brute") or
   as the lcm of the orders of x modulo the distinct-degree blocks of the
   characteristic polynomial ("root-orders"), each found by stripping primes
@@ -20,13 +21,23 @@ from math import lcm
 from recdiv.arith import factor_integer, sieve_primes
 from recdiv.detect import Excluded, build_context, structural_detect
 from recdiv.fppoly import _ddf, _x_pow_mod
-from recdiv.recurrence import (
-    TERM_INT_GUARD,
-    RecurrenceSpec,
-    _mod_recurrence,
-    has_zero_bruteforce,
-    term_iter,
-)
+from recdiv.recurrence import RecurrenceSpec, _mod_recurrence, has_zero_bruteforce
+
+# Exact integer terms are only computed below this index; entries grow
+# exponentially in bit size, so large n must go through term_mod.
+TERM_INT_GUARD = 10_000
+
+
+def term_iter(spec: RecurrenceSpec):
+    """Yields the exact integer terms a_0, a_1, ... indefinitely."""
+    window = list(spec.init)
+    d = spec.order
+    for v in window:
+        yield v
+    while True:
+        nxt = -sum(c * v for c, v in zip(spec.coeffs, window))
+        yield nxt
+        window = window[1:] + [nxt] if d > 1 else [nxt]
 
 
 def term_int(spec: RecurrenceSpec, n: int) -> int:

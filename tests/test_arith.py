@@ -133,17 +133,17 @@ def test_odd_prime_totients_match_factor_integer_to_2e5():
 def test_mult_order_examples():
     # oracle for (2, 7): direct powers 2, 4, 1
     assert [pow(2, e, 7) for e in (1, 2, 3)] == [2, 4, 1]
-    assert mult_order(2, 7) == 3
-    assert mult_order(1, 101) == 1
+    assert mult_order(2, 7, factor_integer(6)) == 3
+    assert mult_order(1, 101, factor_integer(100)) == 1
     assert [pow(3, e, 7) for e in range(1, 7)] == [3, 2, 6, 4, 5, 1]
-    assert mult_order(3, 7) == 6
+    assert mult_order(3, 7, factor_integer(6)) == 6
 
 
 def test_mult_order_zero_rejected():
     with pytest.raises(ValueError, match="zero has no multiplicative order"):
-        mult_order(0, 7)
+        mult_order(0, 7, factor_integer(6))
     with pytest.raises(ValueError, match="zero has no multiplicative order"):
-        mult_order(14, 7)
+        mult_order(14, 7, factor_integer(6))
 
 
 def test_mult_order_requires_matching_totient():
@@ -160,7 +160,7 @@ def test_mult_order_divides_group_order_and_is_minimal(p, a):
     a %= p
     if a == 0:
         a = 1
-    order = mult_order(a, p)
+    order = mult_order(a, p, factor_integer(p - 1))
     assert (p - 1) % order == 0
     assert pow(a, order, p) == 1
     for q, _ in factor_integer(order).factors:

@@ -374,6 +374,23 @@ def test_sweep_output_in_missing_directory_is_usage_error(tmp_path, capsys, monk
     assert err.startswith("error:") and path in err
 
 
+@pytest.mark.parametrize("flag, what", [("--csv", "CSV"), ("--json", "JSON")])
+def test_sweep_empty_output_path_is_usage_error(tmp_path, capsys, monkeypatch, flag, what):
+    # an empty path once ran the sweep, wrote nothing and exited 0
+    import recdiv.cli
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(recdiv.cli, "run_sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    rc = cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "100", flag, ""])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write the {what}: its path is empty\n"
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("csv, json_", [("x", "x"), ("d/x", "d/./x")])
 def test_sweep_csv_and_json_to_one_file_is_usage_error(tmp_path, capsys, monkeypatch, csv, json_):
     # the JSON once overwrote the CSV, and the run still reported the rows written

@@ -3,18 +3,20 @@ import pytest
 from recdiv.arith import sieve_primes
 from recdiv.demo import DEMO_SPEC, base_table, expected_base
 from recdiv.detect import (
+    ZERO_SCAN_BOUND,
     DetectPolicy,
     Excluded,
     StructuralContext,
     build_context,
     detect_full,
+    exact_zeros,
     structural_detect,
 )
 from recdiv.detect import _verified_divisor
 from recdiv.fppoly import _pow_mod, factor_mod_p, solve_gamma
 from recdiv.recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 
-from oracles import cross_validate
+from oracles import cross_validate, term_int
 
 TETRANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1], [1, 1, 1, 1])
 PENTANACCI = RecurrenceSpec.from_char_poly([1, -1, -1, -1, -1, -1], [1, 1, 1, 1, 1])
@@ -329,3 +331,24 @@ def test_structural_and_brute_agree_on_sampled_primes():
                 assert bv.witness <= sv.witness, (name, p)
             compared += 1
         assert compared >= 10, name
+
+
+def test_exact_zeros_match_term_int():
+    # orders 1-3, with the first zero at n = 0, at n = d - 1, at a later index, or none
+    cases = {
+        RecurrenceSpec((-2,), (0,)): 0,  # a_n = 0 for every n
+        RecurrenceSpec((0,), (5,)): 1,  # 5, 0, 0, ...
+        RecurrenceSpec((-2,), (3,)): None,
+        RecurrenceSpec((-1, -1), (0, 1)): 0,  # Fibonacci
+        RecurrenceSpec((-1, -1), (1, 0)): 1,
+        RecurrenceSpec((-1, -1), (-3, 2)): 4,  # -3, 2, -1, 1, 0, 1, 1, ...
+        RecurrenceSpec((1, 0), (0, 1)): 0,  # a_{n+2} = -a_n: every even n
+        RecurrenceSpec((-1, -1, -1), (0, 1, 1)): 0,
+        RecurrenceSpec((-1, -1, -1), (1, 1, 0)): 2,
+        RecurrenceSpec((-1, -1, -1), (1, -2, 1)): 3,  # 1, -2, 1, 0, -1, 0, -1, ...
+        RecurrenceSpec((-1, -1, -1), (1, 1, 1)): None,  # Tribonacci
+    }
+    for spec, first in cases.items():
+        want = tuple(n for n in range(ZERO_SCAN_BOUND + 1) if term_int(spec, n) == 0)
+        assert exact_zeros(spec) == want, spec.fingerprint()
+        assert (want[0] if want else None) == first, spec.fingerprint()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiv.arith import sieve_primes
-from recdiv.charpoly import expected_pattern_density
+from recdiv.charpoly import analyze_poly, discriminant, expected_pattern_density
 from recdiv.demo import DEMO_SPEC
 from recdiv.fppoly import (
     _add,
@@ -22,6 +22,7 @@ from recdiv.fppoly import (
     pattern,
     solve_gamma,
 )
+from recdiv.orderstats import index_histogram
 from recdiv.recurrence import term_mod
 
 from conftest import TRIB_POLY
@@ -85,13 +86,13 @@ def test_pattern_examples():
 
 
 def test_pattern_rejects_vanishing_leading_coefficient():
-    with pytest.raises(ValueError, match="pattern undefined"):
+    with pytest.raises(ValueError, match="pattern needs a monic polynomial"):
         pattern([1, 5], 5)
 
 
 def test_integer_prologue_errors_name_the_caller():
     # pattern and fp_root share one prologue but keep their own messages
-    with pytest.raises(ValueError, match="root search undefined"):
+    with pytest.raises(ValueError, match="root search needs a monic polynomial"):
         fp_root([1, 5], 5)
     for fn in (pattern, fp_root):
         with pytest.raises(ValueError, match="zero polynomial"):
@@ -101,10 +102,30 @@ def test_integer_prologue_errors_name_the_caller():
     assert fp_root([1, 1, 0], 5) == 4
 
 
+# every public entry point that takes an integer polynomial
+_POLY_ENTRY_POINTS = {
+    "discriminant": discriminant,
+    "pattern": lambda coeffs: pattern(coeffs, 7),
+    "fp_root": lambda coeffs: fp_root(coeffs, 7),
+    "index_histogram": lambda coeffs: index_histogram(coeffs, 100, [1]),
+    "analyze_poly": analyze_poly,
+}
+
+
+# a unit, a multiple of the prime and a negative leading coefficient
+@pytest.mark.parametrize("coeffs", ([1, 1, 2], [1, 1, 7], [-1, -1, -1, -1]), ids=str)
+@pytest.mark.parametrize("entry", sorted(_POLY_ENTRY_POINTS))
+def test_entry_points_reject_non_monic(entry, coeffs):
+    with pytest.raises(ValueError, match="monic"):
+        _POLY_ENTRY_POINTS[entry](coeffs)
+
+
 def test_fp_root_examples():
     assert fp_root(TRIB_POLY, 7) == 3
     assert fp_root(TRIB_POLY, 5) is None
     assert fp_root([-2, 1], 11) == 2
+    for p in (2, 3, 7):  # a constant has no distinct-degree block, and no root
+        assert fp_root([1], p) is None
 
 
 def test_fp_root_smallest():
@@ -187,8 +208,6 @@ def test_pattern_matches_sympy_factor_list(text):
     expr = sympy.expand(sympy.sympify(text))
     coeffs = [int(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
     for p in sieve_primes(1000):
-        if coeffs[-1] % p == 0:
-            continue
         _, factors = sympy.factor_list(expr, x, modulus=p)
         want = sorted((sympy.degree(g, x) for g, m in factors for _ in range(m)), reverse=True)
         linear = [sympy.Poly(g, x).all_coeffs() for g, m in factors if sympy.degree(g, x) == 1]
@@ -263,9 +282,7 @@ def test_factor_product_reconstructs_and_factors_irreducible(args):
 @settings(max_examples=150, deadline=None)
 def test_pattern_degrees_sum_and_squarefree_flag(args):
     p, coeffs = args
-    coeffs = list(coeffs)
-    if coeffs[-1] % p == 0:
-        coeffs[-1] = 1
+    coeffs = [*coeffs[:-1], 1]
     deg = len(coeffs) - 1
     pat = pattern(coeffs, p)
     assert sum(pat.degrees) == deg

@@ -16,8 +16,7 @@ def root_index(coeffs, p: int) -> tuple[int, int, int] | None:
 
     The order comes from mult_order over a factored p - 1, not from the
     prime-power sieve. None at p = 2, where P has no root mod p, or where
-    the root is 0; the caller screens out primes dividing the leading
-    coefficient or the discriminant.
+    the root is 0; the caller screens out primes dividing the discriminant.
     """
     if p == 2:
         return None
@@ -28,8 +27,8 @@ def root_index(coeffs, p: int) -> tuple[int, int, int] | None:
 
 
 def _oracle_rows(coeffs, limit: int) -> list[tuple[int, int, int]]:
-    lead, disc = coeffs[-1], discriminant(coeffs) if len(coeffs) > 2 else 1
-    rows = (root_index(coeffs, p) for p in sieve_primes(limit) if lead % p and disc % p)
+    disc = discriminant(coeffs) if len(coeffs) > 2 else 1
+    rows = (root_index(coeffs, p) for p in sieve_primes(limit) if disc % p)
     return [r for r in rows if r is not None]
 
 
@@ -51,10 +50,10 @@ def test_row_examples():
     assert _rows([-1, 1], 3) == [(3, 1, 2)]
 
 
-# x - 2, x + 3, 2x - 3, Tribonacci (up to three roots mod p), x^3 - 2, and
+# x - 2, x + 3, x - 6, Tribonacci (up to three roots mod p), x^3 - 2, and
 # x + 1, whose root -1 has index (p - 1) / 2: at p = 2q + 1 only the test at
 # q finds it
-ORACLE_POLYS = ([-2, 1], [3, 1], [-3, 2], TRIB_POLY, [-2, 0, 0, 1], [1, 1])
+ORACLE_POLYS = ([-2, 1], [3, 1], [-6, 1], TRIB_POLY, [-2, 0, 0, 1], [1, 1])
 
 
 @pytest.mark.parametrize("coeffs", ORACLE_POLYS)
@@ -64,7 +63,7 @@ def test_sieved_rows_match_per_prime_orders(coeffs, limit):
     assert _rows(coeffs, limit) == _oracle_rows(coeffs, limit)
 
 
-@pytest.mark.parametrize("coeffs", ([-2, 1], [-3, 2], TRIB_POLY, [1, 1]))
+@pytest.mark.parametrize("coeffs", ([-2, 1], [-6, 1], TRIB_POLY, [1, 1]))
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_rows_match_per_prime_orders_where_the_sieve_stops(coeffs, q):
     # the level at q runs only while 2q < limit: at limit 2q it is skipped,
@@ -74,13 +73,14 @@ def test_rows_match_per_prime_orders_where_the_sieve_stops(coeffs, q):
         assert _rows(coeffs, limit) == _oracle_rows(coeffs, limit), limit
 
 
-# x - a for bases that exercise the q = 2 classes mod 4|n|, n = -c0 c1: -1
-# and 2 the mod-4 and mod-8 characters, perfect squares a single square class;
-# then 2x - 3, 3x + 6 and -5x + 7, and a base so large that every prime up to
-# the limit is its own class
+# x - a for bases that exercise the q = 2 classes mod 4|a|: -1 and 2 the
+# mod-4 and mod-8 characters, perfect squares a single square class; then
+# x - 6, x + 18 and x - 35, whose moduli 24, 72 and 140 mix the mod-8
+# character with odd primes, and a base so large that every prime up to the
+# limit is its own class
 LINEAR_POLYS = (
     *([-a, 1] for a in (1, -1, 2, -2, 3, -3, 4, -4, 9, 10, 12, 16, 27)),
-    [-3, 2], [6, 3], [7, -5],
+    [-6, 1], [18, 1], [-35, 1],
     [-1_000_003, 1],
 )
 
@@ -136,12 +136,13 @@ def test_histogram_matches_direct_count_on_any_grid():
 def test_histogram_requires_rows():
     with pytest.raises(ValueError, match="limit"):
         index_histogram(TRIB_POLY, 50, [1])
-    # leading coefficient divisible by every prime in range: no rows at all
+    # x - a with a divisible by every prime in range: the root is 0 at each
+    # one, so no rows at all
     primorial = 1
     for p in sieve_primes(100):
         primorial *= p
     with pytest.raises(ValueError, match="no qualifying"):
-        index_histogram([1, primorial], 100, [1])
+        index_histogram([-primorial, 1], 100, [1])
 
 
 def test_artin_square_base_is_never_primitive():
@@ -183,7 +184,7 @@ def test_rows_skip_ramified_and_leading(tribonacci):
     ps = {p for p, _, _ in rows}
     assert 2 not in ps and 11 not in ps  # disc = -44
     for p, root, k in rows:
-        assert mult_order(root, p) == (p - 1) // k
+        assert mult_order(root, p, factor_integer(p - 1)) == (p - 1) // k
 
 
 def test_index_one_is_sympy_primitive_root():

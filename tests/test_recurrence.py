@@ -12,14 +12,12 @@ from recdiv.recurrence import (
     BruteResult,
     RecurrenceSpec,
     has_zero_bruteforce,
-    term_iter,
     term_mod,
     term_stream,
-    zero_term_scan,
 )
 from recdiv.recurrence import _block_scan, _lane_bits, _lane_masks, _scan_kernel
 
-from oracles import period_mod, term_int
+from oracles import period_mod, term_int, term_iter
 
 
 def test_spec_validation():
@@ -212,7 +210,7 @@ def test_has_zero_scans_whole_period(tribonacci):
     # a capped scan one step short of the period must not claim nondivisor
     period = period_mod(tribonacci, 2)
     r = has_zero_bruteforce(tribonacci, 2, period)
-    assert r.kind == "nondivisor" and r.period == period
+    assert r.kind == "nondivisor" and r.steps == period
     r = has_zero_bruteforce(tribonacci, 2, period - 1) if period > 1 else None
     if r is not None:
         assert r.kind == "capped"
@@ -231,14 +229,6 @@ def test_no_repeated_state_within_period(tribonacci):
         assert state == start
 
 
-def test_zero_term_scan_examples(tribonacci):
-    assert zero_term_scan(tribonacci, 200) == []
-    spec = RecurrenceSpec((-1, -1, -1), (0, 0, 1))
-    assert zero_term_scan(spec, 2) == [0, 1]
-    with pytest.raises(ValueError):
-        zero_term_scan(tribonacci, 10**5)
-
-
 def _reference_zero_scan(spec, p, cap):
     """The zero scan written as a plain list walk: the oracle for has_zero_bruteforce."""
     ks = [(-c) % p for c in spec.coeffs]
@@ -251,7 +241,7 @@ def _reference_zero_scan(spec, p, cap):
         state = state[1:] + [sum(k * v for k, v in zip(ks, state)) % p]
         n += 1
         if state == start:
-            return BruteResult("nondivisor", period=n, steps=n)
+            return BruteResult("nondivisor", steps=n)
     return BruteResult("capped", steps=cap)
 
 
@@ -295,9 +285,9 @@ def _first_block_cases():
     a least zero at BLOCK - 1 and a zero-free period of exactly BLOCK."""
     rng = random.Random(18)
     zero = BruteResult("divisor", witness=0, steps=1)
-    one = BruteResult("nondivisor", period=1, steps=1)
+    one = BruteResult("nondivisor", steps=1)
     last_zero = BruteResult("divisor", witness=BLOCK - 1, steps=BLOCK)
-    last_return = BruteResult("nondivisor", period=BLOCK, steps=BLOCK)
+    last_return = BruteResult("nondivisor", steps=BLOCK)
     return [
         (RecurrenceSpec((-3,), (0,)), 5, zero),
         (RecurrenceSpec((-1, -1, -1), (0, 1, 1)), 7, zero),
@@ -357,7 +347,7 @@ def _block_edge_cases():
     3*BLOCK mod 18433."""
     cases = []
     for p, blocks, orders in ((12289, 2, range(1, 6)), (18433, 3, (1,))):
-        g = next(a for a in range(2, p) if mult_order(a, p) == p - 1)
+        g = next(a for a in range(2, p) if mult_order(a, p, factor_integer(p - 1)) == p - 1)
         r = pow(g, (p - 1) // (blocks * BLOCK), p)
         for d in orders:
             cases.append((_roots_power_sums(p, [pow(r, j, p) for j in range(1, d + 1)]), p))
@@ -378,7 +368,8 @@ def test_block_scan_matches_reference_scan():
         full = _reference_zero_scan(spec, p, 60_000)
         if full.kind == "capped":
             continue  # a long nondivisor period: too slow for the reference scan
-        steps, end = full.steps, full.witness if full.kind == "divisor" else full.period
+        steps = full.steps
+        end = full.witness if full.kind == "divisor" else steps
         kinds.add((full.kind, steps > BLOCK, end % BLOCK == 0))
         for cap in {1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
                     steps - 1, steps, steps + 1, 10**7}:
@@ -419,7 +410,7 @@ def _long_order(p):
 
 def _long_period(d, p, order):
     """Power sums of r, r^2, ..., r^d with r of the given order: that is the period."""
-    g = next(a for a in range(2, p) if mult_order(a, p) == p - 1)
+    g = next(a for a in range(2, p) if mult_order(a, p, factor_integer(p - 1)) == p - 1)
     r = pow(g, (p - 1) // order, p)
     return _roots_power_sums(p, [pow(r, j, p) for j in range(1, d + 1)])
 
@@ -511,7 +502,7 @@ def test_block_scan_alternates_orders_and_lane_widths():
     assert "capped" not in {r.kind for r in full}
     assert full[2::2] == [BruteResult("divisor", witness=BLOCK + 97, steps=BLOCK + 98)] * 4
     # r, r^2, r^3 with r of order BLOCK: no zero; the fourth sum vanishes at BLOCK / 4
-    assert full[3::2] == [BruteResult("nondivisor", period=BLOCK, steps=BLOCK),
+    assert full[3::2] == [BruteResult("nondivisor", steps=BLOCK),
                           BruteResult("divisor", witness=BLOCK // 4, steps=BLOCK // 4 + 1)] * 2
     caps = [sorted({1, 3, 4, 5, BLOCK - 1, BLOCK, BLOCK + 1,
                     r.steps - 40, r.steps - 1, r.steps, r.steps + 1, 10**6}) for r in full]

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from recdiv.arith import mult_order, sieve_primes
+from recdiv.arith import factor_integer, mult_order, sieve_primes
 from recdiv.charpoly import _least_ratio_order, discriminant
 
 sympy = pytest.importorskip("sympy")
@@ -45,11 +45,21 @@ def _mul(a, b):
     return out
 
 
+def _monic(coeffs):
+    """lead^(d-1) P(x / lead), the monic polynomial whose roots are lead
+    times those of P: it keeps their ratios, and its discriminant is
+    lead^((d-1)(d-2)) times that of P."""
+    d, lead = len(coeffs) - 1, coeffs[-1]
+    return [c * lead ** (d - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1]
+
+
 def _cases(count=60, seed=8):
-    """Squarefree polynomials of degree 2-5 with P(0) != 0, some non-monic.
+    """Squarefree polynomials P of degree 2-5 with P(0) != 0, some non-monic.
 
     Half are random; the other half carry a quadratic factor whose two
-    roots have a ratio of order 2, 3, 4 or 6, times a random factor.
+    roots have a ratio of order 2, 3, 4 or 6, times a random factor. The
+    library takes monic polynomials only, so it is handed _monic(P), while
+    sympy works on P itself: a non-monic P also checks the scaling.
     """
     rng = random.Random(seed)
     out = []
@@ -75,18 +85,20 @@ CASES = _cases()
 def test_cases_cover_degrees_leads_and_degenerate_orders():
     assert {len(c) - 1 for c in CASES} == {2, 3, 4, 5}
     assert any(abs(c[-1]) > 1 for c in CASES)
-    orders = {_least_ratio_order(c)[1] for c in CASES}
+    orders = {_least_ratio_order(_monic(c))[1] for c in CASES}
     assert {None, 2, 3, 4, 6} <= orders
 
 
 @pytest.mark.parametrize("coeffs", CASES, ids=str)
 def test_nondegeneracy_matches_ratio_polynomial(coeffs):
-    assert _least_ratio_order(coeffs) == _ratio_nondegeneracy(coeffs)
+    assert _least_ratio_order(_monic(coeffs)) == _ratio_nondegeneracy(coeffs)
 
 
 @pytest.mark.parametrize("coeffs", CASES, ids=str)
 def test_discriminant_matches_sympy(coeffs):
-    assert discriminant(coeffs) == sympy.discriminant(_expr(coeffs, X), X)
+    d, lead = len(coeffs) - 1, coeffs[-1]
+    want = lead ** ((d - 1) * (d - 2)) * sympy.discriminant(_expr(coeffs, X), X)
+    assert discriminant(_monic(coeffs)) == want
 
 
 def test_mult_order_matches_n_order():
@@ -94,4 +106,4 @@ def test_mult_order_matches_n_order():
     primes = sieve_primes(10**6)
     for p in rng.sample(primes, 200):
         a = rng.randrange(1, p)
-        assert mult_order(a, p) == sympy.n_order(a, p), (a, p)
+        assert mult_order(a, p, factor_integer(p - 1)) == sympy.n_order(a, p), (a, p)
