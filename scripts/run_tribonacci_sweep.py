@@ -15,8 +15,7 @@ def main() -> None:
     limit = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
     workers = int(sys.argv[2]) if len(sys.argv) > 2 else 2
     spec = RecurrenceSpec.from_char_poly([1, -1, -1, -1], [1, 1, 1])
-    _, summary = run_sweep(SweepConfig(spec=spec, limit=limit, workers=workers))
-    d = summary.to_json_dict()
+    _, d = run_sweep(SweepConfig(spec=spec, limit=limit, workers=workers))
     print(f"primes <= {limit}: {d['primes_total']} ({d['excluded_total']} excluded)")
     print("pattern   freq     predicted  divisor-share  indeterminate")
     for key, cell in d["patterns"].items():

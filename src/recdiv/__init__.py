@@ -16,9 +16,8 @@ from .recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 from .sweep import (
     PrimeRow,
     SweepConfig,
-    SweepSummary,
     run_sweep,
-    summarize_rows,
+    summarize,
     write_csv,
     write_json,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .arith import is_prime
@@ -29,13 +30,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _decimal(text: str) -> int:
+    """An ASCII decimal integer, [+-]?[0-9]+. int() alone also reads 1_000,
+    surrounding blanks and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str, option: str) -> list[int]:
-    fields = [v.strip() for v in text.split(",")]
+    fields = text.split(",")
     if "" in fields:
         raise UsageError(f"{option} has an empty field: {text!r}")
     try:
-        return [int(v) for v in fields]
-    except ValueError as exc:
+        return [_decimal(v) for v in fields]
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise UsageError(f"bad {option}: {text!r}") from exc
 
 
@@ -63,8 +72,8 @@ def _seed_from_env(default: int = 0) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
-    except ValueError as exc:
+        return _decimal(raw)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise UsageError(f"RECDIV_SEED must be a decimal integer, got {raw!r}") from exc
 
 
@@ -112,8 +121,7 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _, summary = run_sweep(config)
-    report = summary.to_json_dict()  # what --json writes
+    _, report = run_sweep(config)  # report: the dict --json writes
     meta = report["meta"]
     if meta["degenerate_zero_term"]:
         print("NOTE: degenerate run, the sequence has an exact zero term;")
@@ -226,16 +234,16 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("analyze", help="hypothesis profile of a characteristic polynomial")
     s.add_argument("--poly", required=True, help="coefficients, highest degree first, e.g. 1,-1,-1,-1")
-    s.add_argument("--prime-budget", type=int, default=200)
+    s.add_argument("--prime-budget", type=_decimal, default=200)
     s.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("sweep", help="classify every prime up to a bound")
     s.add_argument("--poly", required=True)
     s.add_argument("--init", required=True, help="initial terms a_0..a_{d-1}")
-    s.add_argument("--limit", type=int, required=True)
-    s.add_argument("--r-cap", type=int, default=DEFAULT_POLICY.r_cap)
-    s.add_argument("--brute-cap", type=int, default=DEFAULT_POLICY.brute_cap)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--limit", type=_decimal, required=True)
+    s.add_argument("--r-cap", type=_decimal, default=DEFAULT_POLICY.r_cap)
+    s.add_argument("--brute-cap", type=_decimal, default=DEFAULT_POLICY.brute_cap)
+    s.add_argument("--workers", type=_decimal, default=1)
     s.add_argument("--csv", default=None)
     s.add_argument("--json", default=None)
     s.set_defaults(func=_cmd_sweep)
@@ -243,22 +251,22 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("detect", help="verdict for a single prime, with explanation")
     s.add_argument("--poly", required=True)
     s.add_argument("--init", required=True)
-    s.add_argument("-p", "--prime", type=int, required=True)
-    s.add_argument("--r-cap", type=int, default=DEFAULT_POLICY.r_cap)
-    s.add_argument("--brute-cap", type=int, default=DEFAULT_POLICY.brute_cap)
+    s.add_argument("-p", "--prime", type=_decimal, required=True)
+    s.add_argument("--r-cap", type=_decimal, default=DEFAULT_POLICY.r_cap)
+    s.add_argument("--brute-cap", type=_decimal, default=DEFAULT_POLICY.brute_cap)
     s.set_defaults(func=_cmd_detect)
 
     s = sub.add_parser("order-stats", help="root order and index statistics over primes")
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly")
-    group.add_argument("--base", type=int)
-    s.add_argument("--limit", type=int, required=True)
+    group.add_argument("--base", type=_decimal)
+    s.add_argument("--limit", type=_decimal, required=True)
     s.add_argument("--c-grid", default="1,2,4,8,16")
     s.set_defaults(func=_cmd_order_stats)
 
     s = sub.add_parser("demo", help="reproduce the 25/7 base table for the worked example")
     s.add_argument("--check", action="store_true")
-    s.add_argument("--limit", type=int, default=1000)
+    s.add_argument("--limit", type=_decimal, default=1000)
     s.set_defaults(func=_cmd_demo)
 
     return parser

@@ -2,18 +2,20 @@
 
 Rows are computed independently per prime (all lower layers are pure), so
 the sweep maps _block_rows over contiguous blocks of primes, with the builtin
-map or a process pool's, in prime order. The summary keeps counts; the CLI
-prints the densities from to_json_dict, the dict --json writes. Nothing on
-the sweep path is random, so output is byte identical across runs and worker
-counts; the config seed is only recorded in the JSON metadata.
+map or a process pool's, in prime order. The summary is a function of the
+rows: summarize counts them and derives the densities into the dict that
+--json writes and the CLI prints. Nothing on the sweep path is random, so
+output is byte identical across runs and worker counts; the config seed is
+only recorded in the JSON metadata.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import sieve_primes
 from .charpoly import analyze_poly
@@ -116,116 +118,47 @@ def _block_rows(args) -> list[PrimeRow]:
 _COUNT_KEYS = ("total", "divisor", "nondivisor", "indeterminate")
 
 
-@dataclass
-class SweepSummary:
-    """Aggregated counts per pattern plus exclusions; densities are derived.
+def summarize(fingerprint: str, rows: list[PrimeRow], meta: dict) -> dict:
+    """The dict --json writes: counts over the rows and the densities they give.
 
-    Merging is commutative and associative with the empty summary,
-    SweepSummary(fingerprint), as the identity; merges require matching
-    spec fingerprints and disjoint prime ranges.
+    Excluded rows count only by reason; every other row counts in the cell
+    of its pattern, so the densities are over the unexcluded primes.
     """
-
-    fingerprint: str
-    patterns: dict = field(default_factory=dict)
-    excluded: dict = field(default_factory=dict)
-    p_min: int | None = None
-    p_max: int | None = None
-    meta: dict | None = None
-
-    def add_row(self, row: PrimeRow) -> None:
-        self.p_min = row.p if self.p_min is None else min(self.p_min, row.p)
-        self.p_max = row.p if self.p_max is None else max(self.p_max, row.p)
-        if row.verdict == "excluded":
-            self.excluded[row.reason] = self.excluded.get(row.reason, 0) + 1
-            return
-        counts = self.patterns.setdefault(row.pattern, dict.fromkeys(_COUNT_KEYS, 0))
-        counts["total"] += 1
-        counts[row.verdict] += 1
-
-    # derived quantities, always recomputed from the counts
-
-    @property
-    def excluded_total(self) -> int:
-        return sum(self.excluded.values())
-
-    @property
-    def unexcluded_total(self) -> int:
-        return sum(c["total"] for c in self.patterns.values())
-
-    @property
-    def divisor_total(self) -> int:
-        return sum(c["divisor"] for c in self.patterns.values())
-
-    @property
-    def overall_divisor_fraction(self) -> float | None:
-        total = self.unexcluded_total
-        return self.divisor_total / total if total else None
-
-    def merged(self, other: "SweepSummary") -> "SweepSummary":
-        if self.fingerprint != other.fingerprint:
-            raise ValueError("cannot merge summaries for different sequences")
-        if (
-            self.p_min is not None
-            and other.p_min is not None
-            and self.p_min <= other.p_max
-            and other.p_min <= self.p_max
-        ):
-            raise ValueError("cannot merge summaries over overlapping prime ranges")
-        if self.meta is not None and other.meta is not None and self.meta != other.meta:
-            raise ValueError("cannot merge summaries with conflicting metadata")
-        out = SweepSummary(self.fingerprint)
-        out.meta = self.meta if self.meta is not None else other.meta
-        for src in (self, other):
-            for key, counts in src.patterns.items():
-                acc = out.patterns.setdefault(key, dict.fromkeys(_COUNT_KEYS, 0))
-                for k in _COUNT_KEYS:
-                    acc[k] += counts[k]
-            for reason, n in src.excluded.items():
-                out.excluded[reason] = out.excluded.get(reason, 0) + n
-        mins = [v for v in (self.p_min, other.p_min) if v is not None]
-        maxs = [v for v in (self.p_max, other.p_max) if v is not None]
-        out.p_min = min(mins) if mins else None
-        out.p_max = max(maxs) if maxs else None
-        return out
-
-    def to_json_dict(self) -> dict:
-        unex = self.unexcluded_total
-        patterns = {}
-        for key in sorted(self.patterns):
-            c = self.patterns[key]
-            patterns[key] = {
-                "total": c["total"],
-                "divisor": c["divisor"],
-                "nondivisor": c["nondivisor"],
-                "indeterminate": c["indeterminate"],
-                "divisor_fraction": c["divisor"] / c["total"] if c["total"] else None,
-                "frequency": c["total"] / unex if unex else None,
-            }
-        return {
-            "fingerprint": self.fingerprint,
-            "meta": self.meta,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "primes_total": self.excluded_total + unex,
-            "excluded": {k: self.excluded[k] for k in sorted(self.excluded)},
-            "excluded_total": self.excluded_total,
-            "unexcluded_total": unex,
-            "patterns": patterns,
-            "divisor_total": self.divisor_total,
-            "overall_divisor_fraction": self.overall_divisor_fraction,
-        }
-
-
-def summarize_rows(fingerprint: str, rows: list[PrimeRow]) -> SweepSummary:
-    """Fold rows into a summary; run_sweep's summary equals this fold."""
-    summary = SweepSummary(fingerprint)
+    excluded = Counter()
+    cells = {}
     for row in rows:
-        summary.add_row(row)
-    return summary
+        if row.verdict == "excluded":
+            excluded[row.reason] += 1
+        else:
+            cell = cells.setdefault(row.pattern, dict.fromkeys(_COUNT_KEYS, 0))
+            cell["total"] += 1
+            cell[row.verdict] += 1
+    unexcluded = len(rows) - excluded.total()
+    divisors = sum(c["divisor"] for c in cells.values())
+    return {
+        "fingerprint": fingerprint,
+        "meta": meta,
+        "p_min": min((r.p for r in rows), default=None),
+        "p_max": max((r.p for r in rows), default=None),
+        "primes_total": len(rows),
+        "excluded": dict(sorted(excluded.items())),
+        "excluded_total": excluded.total(),
+        "unexcluded_total": unexcluded,
+        "patterns": {
+            key: {
+                **c,
+                "divisor_fraction": c["divisor"] / c["total"],
+                "frequency": c["total"] / unexcluded,
+            }
+            for key, c in sorted(cells.items())
+        },
+        "divisor_total": divisors,
+        "overall_divisor_fraction": divisors / unexcluded if unexcluded else None,
+    }
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
-    """All rows for primes <= limit, in prime order, plus the summary fold."""
+def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], dict]:
+    """All rows for primes <= limit, in prime order, plus their summary."""
     spec = config.spec
     policy = config.policy
     profile = analyze_poly(list(spec.char_poly()))
@@ -242,9 +175,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         rows = [row for block in mapper(_block_rows, blocks) for row in block]
-    summary = summarize_rows(spec.fingerprint(), rows)
     zeros = exact_zeros(spec)
-    summary.meta = {
+    meta = {
         "coeffs": list(spec.coeffs),
         "init": list(spec.init),
         "limit": config.limit,
@@ -263,6 +195,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[PrimeRow], SweepSummary]:
             "all_verified": profile.all_verified,
         },
     }
+    summary = summarize(spec.fingerprint(), rows, meta)
     if config.csv_path:
         write_csv(rows, config.csv_path)
     if config.json_path:
@@ -305,10 +238,10 @@ def write_csv(rows: list[PrimeRow], path: str) -> None:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 
 
-def write_json(summary: SweepSummary, path: str) -> None:
-    """Summary JSON with stable key order."""
+def write_json(summary: dict, path: str) -> None:
+    """The summary as JSON, in its own key order."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(json.dumps(summary.to_json_dict(), indent=2) + "\n")
+            fh.write(json.dumps(summary, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing JSON to {path}: {exc}") from exc

@@ -44,7 +44,7 @@ def tribonacci_sweep_100k(tmp_path_factory):
             )
         )
         results[workers] = {
-            "summary": summary.to_json_dict(),
+            "summary": summary,
             "csv": csv_path.read_bytes(),
             "json": json_path.read_bytes(),
         }

@@ -90,8 +90,13 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     )
     assert rc == 0
     assert json.loads(json_p.read_text())["meta"]["seed"] == 12345
-    monkeypatch.setenv("RECDIV_SEED", "not-a-number")
-    assert cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "50"]) == 1
+    capsys.readouterr()
+    # int() would read the last three as 1000, 1 and 1
+    for raw in ("not-a-number", "1_000", "١", " 1"):
+        monkeypatch.setenv("RECDIV_SEED", raw)
+        assert cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "50"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RECDIV_SEED") and repr(raw) in err
 
 
 def test_order_stats_base(capsys):
@@ -444,3 +449,47 @@ def test_worker_count_above_cap_is_usage_error(capsys, monkeypatch, tribonacci, 
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"got {workers}" in err
+
+
+TRIB = ["--poly", "1,-1,-1,-1", "--init", "1,1,1"]
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        pytest.param(["sweep", "--poly", "1,-1_0,-1,-1", "--init", "1,1,1", "--limit", "50"],
+                     "1,-1_0,-1,-1", id="poly-digit-separator"),
+        pytest.param(["detect", *TRIB, "-p", "٧"], "٧", id="prime-arabic-indic-digit"),
+        pytest.param(["sweep", "--poly", "1,-1,-1,-1", "--init", "１,1,1", "--limit", "50"],
+                     "１,1,1", id="init-fullwidth-digit"),
+        pytest.param(["order-stats", "--base", "2", "--limit", "1_000"], "1_000", id="limit-separator"),
+        pytest.param(["order-stats", "--base", "2", "--limit", "1000", "--c-grid", "1,1_6"],
+                     "1,1_6", id="c-grid-separator"),
+        pytest.param(["sweep", *TRIB, "--limit", " 50"], " 50", id="limit-blank"),
+        pytest.param(["sweep", "--poly", "1, -1, -1, -1", "--init", "1,1,1", "--limit", "50"],
+                     "1, -1, -1, -1", id="poly-blanks"),
+    ],
+)
+def test_integer_beyond_ascii_decimal_is_usage_error(capsys, monkeypatch, args, bad):
+    # int() reads 1_000, blanks and non-ASCII digits; no option may, so
+    # 1,-1_0,-1,-1 is not x^3 - 10x^2 - x - 1 and -p ٧ is not p = 7
+    import recdiv.cli
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran on a malformed integer")
+
+    monkeypatch.setattr(recdiv.cli, "run_sweep", no_sweep)
+    assert cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(bad) in err
+
+
+def test_signed_ascii_integers_are_accepted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RECDIV_SEED", "-7")
+    json_p = tmp_path / "s.json"
+    assert cli(["sweep", "--poly", "+1,-1,-1,-1", "--init", "+1,1,1", "--limit", "+50",
+                "--json", str(json_p)]) == 0
+    meta = json.loads(json_p.read_text())["meta"]
+    assert (meta["seed"], meta["limit"], meta["init"]) == (-7, 50, [1, 1, 1])
+    assert cli(["detect", *TRIB, "-p", "+7"]) == 0
+    assert "p = 7: pattern 2-1" in capsys.readouterr().out

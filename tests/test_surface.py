@@ -17,12 +17,11 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "recdiv").glob("*.py") if p.name != "__init__.py")
 CALLERS = [*LIBRARY, *sorted((ROOT / "scripts").glob("*.py")), ROOT / "bench" / "run.py"]
 
-# The first three stay in the library while bench/run.py traces them by name.
+# All three stay in the library while bench/run.py traces them by name.
 TEST_ORACLES = {
     "factor_mod_p": "full factorization mod p, checked against pattern and fp_root",
     "solve_gamma": "the Vandermonde solve that build_context's closed-form gamma1 must match",
     "artin_fraction": "the primitive-root fraction that order-stats --base must print",
-    "SweepSummary.merged": "the fold of disjoint shards that resumable, sharded sweeps build on",
 }
 
 

@@ -10,10 +10,9 @@ from recdiv.sweep import (
     CSV_HEADER,
     PrimeRow,
     SweepConfig,
-    SweepSummary,
     csv_lines,
     run_sweep,
-    summarize_rows,
+    summarize,
     write_csv,
     write_json,
 )
@@ -38,9 +37,12 @@ def test_limit_two_only_excludes_ramified(tribonacci):
     rows, summary = run_sweep(SweepConfig(spec=tribonacci, limit=2))
     assert len(rows) == 1
     assert rows[0].verdict == "excluded" and rows[0].reason == "ramified"
-    assert summary.excluded == {"ramified": 1}
-    assert summary.unexcluded_total == 0
-    assert summary.overall_divisor_fraction is None
+    assert summary["p_min"] == summary["p_max"] == 2
+    assert summary["excluded"] == {"ramified": 1}
+    assert summary["excluded_total"] == summary["primes_total"] == 1
+    assert summary["unexcluded_total"] == summary["divisor_total"] == 0
+    assert summary["patterns"] == {}
+    assert summary["overall_divisor_fraction"] is None
 
 
 def test_schema_exact_lines(small_sweep):
@@ -54,22 +56,19 @@ def test_schema_exact_lines(small_sweep):
 
 def test_summary_equals_fold_of_rows(tribonacci, small_sweep):
     rows, summary = small_sweep
-    fold = summarize_rows(tribonacci.fingerprint(), rows)
-    assert fold.patterns == summary.patterns
-    assert fold.excluded == summary.excluded
-    assert (fold.p_min, fold.p_max) == (summary.p_min, summary.p_max)
+    assert summarize(tribonacci.fingerprint(), rows, summary["meta"]) == summary
+    # p_min and p_max are the least and greatest p, not the first and last row
+    shuffled = summarize(tribonacci.fingerprint(), rows[::-1], summary["meta"])
+    assert (shuffled["p_min"], shuffled["p_max"]) == (2, 97)
 
 
-def test_folding_csv_reproduces_summary(tribonacci, small_sweep, tmp_path):
-    rows, summary = small_sweep
-    path = tmp_path / "rows.csv"
-    write_csv(rows, str(path))
-    parsed = []
-    lines = path.read_text().splitlines()
+def _parse_csv(text: str) -> list[PrimeRow]:
+    lines = text.splitlines()
     assert lines[0] == CSV_HEADER
+    rows = []
     for line in lines[1:]:
         p, pat, sq, reason, verdict, method, wit, ordg, idxg, q = line.split(",")
-        parsed.append(
+        rows.append(
             PrimeRow(
                 p=int(p),
                 pattern=pat,
@@ -83,9 +82,28 @@ def test_folding_csv_reproduces_summary(tribonacci, small_sweep, tmp_path):
                 q=int(q) if q else None,
             )
         )
-    refold = summarize_rows(tribonacci.fingerprint(), parsed)
-    assert refold.to_json_dict()["patterns"] == summary.to_json_dict()["patterns"]
-    assert refold.excluded == summary.excluded
+    return rows
+
+
+def test_folding_csv_reproduces_summary(tribonacci, tmp_path):
+    # the JSON is a function of the CSV: summarize over the rows read back
+    # from the written CSV, with the run's meta, is the written JSON; at 2
+    # workers the 95 primes make three blocks, so a pool runs
+    for workers in (1, 2):
+        csv_p = tmp_path / f"w{workers}.csv"
+        json_p = tmp_path / f"w{workers}.json"
+        run_sweep(
+            SweepConfig(
+                spec=tribonacci,
+                limit=500,
+                workers=workers,
+                csv_path=str(csv_p),
+                json_path=str(json_p),
+            )
+        )
+        written = json.loads(json_p.read_text())
+        parsed = _parse_csv(csv_p.read_text())
+        assert summarize(tribonacci.fingerprint(), parsed, written["meta"]) == written
 
 
 def test_run_twice_byte_identical(tribonacci, tmp_path):
@@ -162,44 +180,15 @@ def test_csv_prints_q_above_63_bits_exactly():
     assert csv_lines(rows)[1].split(",")[-1] == str(q) == "26998848016385922300"
 
 
-def test_merge_identity_commutativity_partition(tribonacci, small_sweep):
-    rows, summary = small_sweep
-    fp = tribonacci.fingerprint()
-    empty = SweepSummary(fp)
-    merged = summary.merged(empty)
-    assert merged.to_json_dict()["patterns"] == summary.to_json_dict()["patterns"]
-
-    quarters = [rows[0:7], rows[7:14], rows[14:21], rows[21:]]
-    parts = [summarize_rows(fp, chunk) for chunk in quarters]
-    ab = parts[0].merged(parts[1])
-    ba = parts[1].merged(parts[0])
-    assert ab == ba
-    total = parts[0]
-    for s in parts[1:]:
-        total = total.merged(s)
-    assert total.patterns == summary.patterns
-    assert total.excluded == summary.excluded
-
-
-def test_merge_rejects_mismatch_and_overlap(tribonacci, small_sweep):
-    rows, summary = small_sweep
-    other = summarize_rows("c=9;a=9", rows)
-    with pytest.raises(ValueError, match="different sequences"):
-        summary.merged(other)
-    with pytest.raises(ValueError, match="overlapping"):
-        summary.merged(summarize_rows(tribonacci.fingerprint(), rows[:3]))
-
-
 def test_indeterminate_rows_never_count_as_decided(tribonacci):
     rows, summary = run_sweep(
         SweepConfig(spec=tribonacci, limit=100, policy=DetectPolicy(brute_cap=1, r_cap=1))
     )
-    d = summary.to_json_dict()
-    for key, cell in d["patterns"].items():
+    for key, cell in summary["patterns"].items():
         assert cell["total"] == cell["divisor"] + cell["nondivisor"] + cell["indeterminate"]
         assert cell["indeterminate"] > 0
         assert cell["divisor_fraction"] == cell["divisor"] / cell["total"]
-    assert summary.divisor_total == sum(
+    assert summary["divisor_total"] == sum(
         1 for r in rows if r.verdict == "divisor"
     )
 
@@ -207,8 +196,8 @@ def test_indeterminate_rows_never_count_as_decided(tribonacci):
 def test_degenerate_spec_marks_every_prime_trivial_divisor():
     spec = RecurrenceSpec((-1, -1, -1), (0, 0, 1))
     rows, summary = run_sweep(SweepConfig(spec=spec, limit=50))
-    assert summary.meta["degenerate_zero_term"]
-    assert summary.meta["zero_term_indices"][:2] == [0, 1]
+    assert summary["meta"]["degenerate_zero_term"]
+    assert summary["meta"]["zero_term_indices"][:2] == [0, 1]
     for row in rows:
         assert row.verdict == "divisor" and row.method == "none" and row.witness == 0
 
