@@ -4,7 +4,6 @@ from .arith import FactoredInteger, factor_integer, is_prime, mult_order, sieve_
 from .charpoly import PolyProfile, analyze_poly, discriminant, expected_pattern_density
 from .detect import (
     DetectPolicy,
-    Excluded,
     StructuralContext,
     Verdict,
     build_context,

@@ -1,21 +1,17 @@
 """Command-line surface: analyze, sweep, detect, order-stats, demo.
 
 Exit codes: 0 success, 1 usage error, 2 internal error, 3 check failure.
-The environment variable RECDIV_SEED (a decimal integer) is recorded as the
-sweep's meta.seed; nothing is random, so it changes no result.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
-from .arith import is_prime
+from .arith import is_prime, sieve_primes
 from .charpoly import PrimeBudgetTooLarge, analyze_poly
-from .demo import DEMO_SPEC, base_table
-from .detect import DEFAULT_POLICY, DetectPolicy, detect_full
+from .detect import DEFAULT_POLICY, DetectPolicy, StructuralContext, build_context, detect_full
 from .orderstats import MAX_LIMIT, MIN_LIMIT, NoQualifyingPrimes, index_histogram
 from .recurrence import RecurrenceSpec
 from .sweep import MAX_LIMIT as SWEEP_MAX_LIMIT, SweepConfig, run_sweep
@@ -67,16 +63,6 @@ def _make_spec(poly_text: str, init_text: str) -> RecurrenceSpec:
     return RecurrenceSpec.from_char_poly(poly, init)
 
 
-def _seed_from_env(default: int = 0) -> int:
-    raw = os.environ.get("RECDIV_SEED")
-    if raw is None:
-        return default
-    try:
-        return _decimal(raw)
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise UsageError(f"RECDIV_SEED must be a decimal integer, got {raw!r}") from exc
-
-
 def _cmd_analyze(args) -> int:
     poly = _parse_poly(args.poly)
     if args.prime_budget < 1:
@@ -108,14 +94,12 @@ def _make_policy(args) -> DetectPolicy:
 def _cmd_sweep(args) -> int:
     spec = _make_spec(args.poly, args.init)
     policy = _make_policy(args)
-    seed = _seed_from_env()
     try:
         config = SweepConfig(
             spec=spec,
             limit=args.limit,
             policy=policy,
             workers=args.workers,
-            seed=seed,
             csv_path=args.csv,
             json_path=args.json,
         )
@@ -202,6 +186,13 @@ def _cmd_order_stats(args) -> int:
     return 0
 
 
+# The worked example, a_n = 5^n + (3+sqrt(2))^n + (3-sqrt(2))^n: the power
+# sums of the roots of (x-5)(x^2-6x+7) = x^3 - 11x^2 + 37x - 35. Whenever the
+# quadratic factor stays irreducible mod p, the structural base must come
+# out as 25/7 mod p.
+DEMO_SPEC = RecurrenceSpec.from_char_poly([1, -11, 37, -35], [3, 11, 47])
+
+
 def _cmd_demo(args) -> int:
     if args.limit < 3:  # 2 is ramified, so 3 is the first prime the demo checks
         raise UsageError(f"--limit must be at least 3, got {args.limit}")
@@ -210,17 +201,19 @@ def _cmd_demo(args) -> int:
     print("sequence: a_n = 5^n + (3+sqrt(2))^n + (3-sqrt(2))^n")
     print(f"coefficients {list(DEMO_SPEC.coeffs)}, initial terms {list(DEMO_SPEC.init)}")
     print("whenever x^2-6x+7 stays irreducible mod p, the detector base must be 25/7 mod p:")
-    rows = base_table(limit=args.limit)
-    bad = 0
-    for row in rows:
-        if row.base is None:
-            print(f"  p={row.p:<5} skipped ({row.status})")
-        else:
-            print(f"  p={row.p:<5} base={row.base:<5} 25/7 mod p={row.expected:<5} {row.status}")
-            if row.status != "ok":
-                bad += 1
+    checked = bad = 0
+    for p in sieve_primes(args.limit):
+        ctx = build_context(DEMO_SPEC, p)
+        if not isinstance(ctx, StructuralContext):
+            print(f"  p={p:<5} skipped ({ctx})")
+            continue
+        want = 25 * pow(7, -1, p) % p
+        status = "ok" if ctx.base == want else "mismatch"
+        print(f"  p={p:<5} base={ctx.base:<5} 25/7 mod p={want:<5} {status}")
+        checked += 1
+        if status != "ok":
+            bad += 1
     if args.check:
-        checked = sum(1 for r in rows if r.base is not None)
         if bad or not checked:
             print(f"check FAILED: {bad} mismatching primes")
             return 3

@@ -39,13 +39,6 @@ ZERO_SCAN_BOUND = 200
 
 
 @dataclass(frozen=True)
-class Excluded:
-    """A prime the structural machinery refuses, with the reason."""
-
-    reason: str
-
-
-@dataclass(frozen=True)
 class StructuralContext:
     """Everything the structural detector needs at one prime.
 
@@ -106,23 +99,25 @@ def _verified_divisor(
 
 def build_context(
     spec: RecurrenceSpec, p: int, pat: FactorPattern | None = None
-) -> StructuralContext | Excluded:
-    """Structural context at p, or the exclusion that prevents it.
+) -> StructuralContext | str:
+    """Structural context at p, or the reason the structural detector refuses p.
 
-    The one place a prime is excluded, checked in order: p | c0, ramified,
-    order < 3 or a pattern other than (d-1, 1), vanishing gamma1. pat, when
-    given, must be the pattern of the characteristic polynomial at p.
+    The one place a prime is excluded, checked in order: p | c0
+    ("divides-c0"), ramified ("ramified"), order < 3 or a pattern other
+    than (d-1, 1) ("pattern-mismatch"), vanishing gamma1
+    ("gamma1-vanishes"). pat, when given, must be the pattern of the
+    characteristic polynomial at p.
     """
     d = spec.order
     if spec.coeffs[0] % p == 0:
-        return Excluded("divides-c0")
+        return "divides-c0"
     cp = spec.char_poly()
     if pat is None:
         pat = pattern(cp, p)
     if not pat.squarefree:
-        return Excluded("ramified")
+        return "ramified"
     if d < 3 or pat.degrees != (d - 1, 1):
-        return Excluded("pattern-mismatch")
+        return "pattern-mismatch"
     a1 = pat.root
     # g = char poly / (x - a1) by synthetic division, lowest degree first
     g = [1] * d
@@ -131,7 +126,7 @@ def build_context(
     # g kills every root but a1, so sum_k g_k a_k = gamma1 * g(a1)
     gamma1 = sum(gk * a for gk, a in zip(g, spec.init)) * pow(_eval(g, a1, p), -1, p) % p
     if gamma1 == 0:
-        return Excluded("gamma1-vanishes")
+        return "gamma1-vanishes"
     nloc = (-1) ** d * spec.coeffs[0] % p
     base = pow(a1, d, p) * pow(nloc, -1, p) % p
     ord_base = mult_order(base, p, factor_integer(p - 1))
@@ -175,8 +170,9 @@ def structural_detect(
 ) -> Verdict:
     """Scan r = 0..min(Q, r_cap)-1 for a subgroup membership hit.
 
-    Divisor verdicts carry the witness n = k*Q + r (re-verified);
-    NonDivisor is only reported after the full range r < Q has been scanned.
+    A divisor verdict carries the witness n = k*Q + r (re-verified); a
+    nondivisor verdict is only reported after the full range r < Q has been
+    scanned.
     """
     p = ctx.p
     full = ctx.q
@@ -231,8 +227,8 @@ def detect_full(
     res = build_context(spec, p, pat)
     if isinstance(res, StructuralContext):
         return pat, res, structural_detect(res, spec, policy.r_cap)
-    if res.reason != "pattern-mismatch":
-        return pat, None, Verdict("excluded", reason=res.reason)
+    if res != "pattern-mismatch":
+        return pat, None, Verdict("excluded", reason=res)
     scan = has_zero_bruteforce(spec, p, policy.brute_cap)
     if scan.kind == "divisor":
         return pat, None, _verified_divisor(spec, p, scan.witness, "brute")

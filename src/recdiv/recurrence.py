@@ -300,9 +300,9 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
 def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
     """Scan a_n mod p for n = 0..min(period, cap)-1 for a zero.
 
-    Divisor carries the least witness index; NonDivisor is only reported
-    after a full period was scanned, so an uncapped run is a complete
-    decision procedure. An odd p hands a_0..a_{BLOCK+2d-2} off term_stream
+    A "divisor" result carries the least witness index; "nondivisor" is
+    only reported after a full period was scanned, so an uncapped run is a
+    complete decision procedure. An odd p hands a_0..a_{BLOCK+2d-2} off term_stream
     to _block_scan, which scans from n = 0. The packing needs an odd
     modulus, so p = 2 is decided from a_0..a_d: with c_0 odd and no zero
     among a_0..a_{d-1}, every one of them is 1, so a_d is either the least

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import lcm
 
 from recdiv.arith import factor_integer, sieve_primes
-from recdiv.detect import Excluded, build_context, structural_detect
+from recdiv.detect import StructuralContext, build_context, structural_detect
 from recdiv.fppoly import _ddf, _x_pow_mod
 from recdiv.recurrence import RecurrenceSpec, _mod_recurrence, has_zero_bruteforce
 
@@ -114,7 +114,7 @@ def cross_validate(
     mismatches = []
     for p in sieve_primes(prime_limit):
         res = build_context(spec, p)
-        if isinstance(res, Excluded):
+        if not isinstance(res, StructuralContext):
             continue
         sv = structural_detect(res, spec, r_cap=res.q)
         bv = has_zero_bruteforce(spec, p, cap)

@@ -81,22 +81,20 @@ def test_sweep_stamps_unverified_hypotheses(capsys):
     assert "hypotheses unverified" in capsys.readouterr().out
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RECDIV_SEED", "12345")
-    json_p = tmp_path / "s.json"
-    rc = cli(
-        ["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "50",
-         "--json", str(json_p)]
-    )
-    assert rc == 0
-    assert json.loads(json_p.read_text())["meta"]["seed"] == 12345
-    capsys.readouterr()
-    # int() would read the last three as 1000, 1 and 1
-    for raw in ("not-a-number", "1_000", "١", " 1"):
-        monkeypatch.setenv("RECDIV_SEED", raw)
-        assert cli(["sweep", "--poly", "1,-1,-1,-1", "--init", "1,1,1", "--limit", "50"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: RECDIV_SEED") and repr(raw) in err
+def test_seed_env_changes_no_output_byte(tmp_path, capsys, monkeypatch):
+    # nothing reads RECDIV_SEED, so not even a malformed value is an error
+    monkeypatch.chdir(tmp_path)
+    outputs = set()
+    for raw in (None, "12345", "not-a-number"):
+        if raw is None:
+            monkeypatch.delenv("RECDIV_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RECDIV_SEED", raw)
+        assert cli(["sweep", *TRIB, "--limit", "50", "--csv", "r.csv", "--json", "s.json"]) == 0
+        outputs.add((capsys.readouterr(), (tmp_path / "r.csv").read_bytes(),
+                     (tmp_path / "s.json").read_bytes()))
+    assert len(outputs) == 1
+    assert json.loads((tmp_path / "s.json").read_text())["meta"]["seed"] == 0
 
 
 def test_order_stats_base(capsys):
@@ -205,14 +203,14 @@ def test_demo_limit_below_three_is_usage_error(capsys, limit):
 
 
 def test_demo_limit_above_sweep_cap_is_usage_error(capsys, monkeypatch):
-    # the cap is checked before base_table builds a sieve of that size
+    # the cap is checked before the demo builds a sieve of that size
     import recdiv.cli
     from recdiv.sweep import MAX_LIMIT
 
-    def no_table(*args, **kwargs):
-        raise AssertionError("built the base table before rejecting the limit")
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved the primes before rejecting the limit")
 
-    monkeypatch.setattr(recdiv.cli, "base_table", no_table)
+    monkeypatch.setattr(recdiv.cli, "sieve_primes", no_sieve)
     assert cli(["demo", "--check", "--limit", str(MAX_LIMIT + 1)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--limit must be at most {MAX_LIMIT}" in err
@@ -484,12 +482,11 @@ def test_integer_beyond_ascii_decimal_is_usage_error(capsys, monkeypatch, args, 
     assert err.startswith("error:") and repr(bad) in err
 
 
-def test_signed_ascii_integers_are_accepted(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RECDIV_SEED", "-7")
+def test_signed_ascii_integers_are_accepted(tmp_path, capsys):
     json_p = tmp_path / "s.json"
     assert cli(["sweep", "--poly", "+1,-1,-1,-1", "--init", "+1,1,1", "--limit", "+50",
                 "--json", str(json_p)]) == 0
     meta = json.loads(json_p.read_text())["meta"]
-    assert (meta["seed"], meta["limit"], meta["init"]) == (-7, 50, [1, 1, 1])
+    assert (meta["limit"], meta["init"]) == (50, [1, 1, 1])
     assert cli(["detect", *TRIB, "-p", "+7"]) == 0
     assert "p = 7: pattern 2-1" in capsys.readouterr().out

@@ -1,11 +1,10 @@
 import pytest
 
 from recdiv.arith import sieve_primes
-from recdiv.demo import DEMO_SPEC, base_table, expected_base
+from recdiv.cli import DEMO_SPEC, cli
 from recdiv.detect import (
     ZERO_SCAN_BOUND,
     DetectPolicy,
-    Excluded,
     StructuralContext,
     build_context,
     detect_full,
@@ -71,22 +70,17 @@ def test_build_context_demo_bases():
 
 
 def test_build_context_exclusions(tribonacci):
-    res = build_context(tribonacci, 2)
-    assert isinstance(res, Excluded) and res.reason == "ramified"
-    res = build_context(DEMO_SPEC, 5)
-    assert isinstance(res, Excluded) and res.reason == "divides-c0"
-    res = build_context(tribonacci, 5)  # pattern {3} mod 5
-    assert isinstance(res, Excluded) and res.reason == "pattern-mismatch"
+    assert build_context(tribonacci, 2) == "ramified"
+    assert build_context(DEMO_SPEC, 5) == "divides-c0"
+    assert build_context(tribonacci, 5) == "pattern-mismatch"  # pattern {3} mod 5
     short = RecurrenceSpec((-1, -1), (1, 1))
-    res = build_context(short, 7)
-    assert isinstance(res, Excluded) and res.reason == "pattern-mismatch"
+    assert build_context(short, 7) == "pattern-mismatch"
 
 
 def test_build_context_gamma1_vanishes(tribonacci):
     # init (2, 5, 1) mod 7 is theta^n + theta^(7n): the base-root coefficient is 0
     spec = RecurrenceSpec(tribonacci.coeffs, (2, 5, 1))
-    res = build_context(spec, 7)
-    assert isinstance(res, Excluded) and res.reason == "gamma1-vanishes"
+    assert build_context(spec, 7) == "gamma1-vanishes"
     assert _vandermonde_gamma1(spec, 7) == 0
     # the same spec at other structural primes is generically fine
     assert isinstance(build_context(spec, 13), StructuralContext)
@@ -95,7 +89,7 @@ def test_build_context_gamma1_vanishes(tribonacci):
 def test_context_invariants(tribonacci):
     for p in sieve_primes(300):
         ctx = build_context(tribonacci, p)
-        if isinstance(ctx, Excluded):
+        if not isinstance(ctx, StructuralContext):
             continue
         d = tribonacci.order
         assert ctx.q % (p - 1) == (d - 1) % (p - 1)
@@ -165,10 +159,9 @@ def test_build_context_gamma1_matches_vandermonde(name):
         want = _vandermonde_gamma1(spec, p)
         res = build_context(spec, p)
         if want is None:
-            assert isinstance(res, Excluded), p
-            assert res.reason in ("ramified", "pattern-mismatch"), p
+            assert res in ("ramified", "pattern-mismatch"), p
         elif want == 0:
-            assert res == Excluded("gamma1-vanishes"), p
+            assert res == "gamma1-vanishes", p
         else:
             assert isinstance(res, StructuralContext) and res.gamma1 == want, p
             checked += 1
@@ -201,7 +194,7 @@ def test_structural_nondivisor_full_scan():
     seen = 0
     for p in sieve_primes(300):
         ctx = build_context(spec, p)
-        if isinstance(ctx, Excluded):
+        if not isinstance(ctx, StructuralContext):
             continue
         v = structural_detect(ctx, spec, r_cap=ctx.q)
         assert v.kind == "nondivisor", p
@@ -291,19 +284,22 @@ def test_cross_validate_rejects_insufficient_cap(tribonacci):
         cross_validate(tribonacci, 300, cap=10)
 
 
-def test_demo_base_table_and_check():
-    rows = base_table(limit=100)
-    by_p = {r.p: r for r in rows}
-    assert by_p[2].status == "ramified"
-    assert by_p[5].status == "divides-c0"
-    assert by_p[7].status == "divides-c0"
-    assert by_p[11].base == 2 and by_p[11].status == "ok"
-    assert by_p[13].base == 11 and by_p[13].status == "ok"
-    checked = [r for r in base_table(limit=300) if r.base is not None]
-    assert checked and all(r.status == "ok" for r in checked)
-    for r in rows:
-        if r.base is not None:
-            assert r.expected == expected_base(r.p)
+def test_demo_base_table_and_check(capsys):
+    assert cli(["demo", "--limit", "100"]) == 0
+    # "  p=11    base=2     25/7 mod p=2     ok" or "  p=2     skipped (ramified)"
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
+    by_p = {int(row[0][2:]): row[1:] for row in rows}
+    assert sorted(by_p) == sieve_primes(100)
+    assert by_p[2] == ["skipped", "(ramified)"]
+    assert by_p[5] == by_p[7] == ["skipped", "(divides-c0)"]
+    assert by_p[11] == ["base=2", "25/7", "mod", "p=2", "ok"]
+    assert by_p[13] == ["base=11", "25/7", "mod", "p=11", "ok"]
+    for p, row in by_p.items():
+        if row[0] != "skipped":
+            want = 25 * pow(7, -1, p) % p
+            assert row == [f"base={want}", "25/7", "mod", f"p={want}", "ok"], p
+    assert cli(["demo", "--check", "--limit", "300"]) == 0
+    assert "check passed" in capsys.readouterr().out
 
 
 def test_structural_and_brute_agree_on_sampled_primes():
@@ -320,7 +316,7 @@ def test_structural_and_brute_agree_on_sampled_primes():
         compared = 0
         for p in primes:
             ctx = build_context(spec, p)
-            if isinstance(ctx, Excluded):
+            if not isinstance(ctx, StructuralContext):
                 continue
             sv = structural_detect(ctx, spec, r_cap)
             bv = has_zero_bruteforce(spec, p, 10**6)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from recdiv.arith import sieve_primes
 from recdiv.charpoly import analyze_poly, discriminant, expected_pattern_density
-from recdiv.demo import DEMO_SPEC
+from recdiv.cli import DEMO_SPEC
 from recdiv.fppoly import (
     _add,
     _ddf,

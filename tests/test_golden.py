@@ -1,8 +1,9 @@
-"""Golden output digests: sweep CSV, JSON and stdout, analyze and order-stats stdout.
+"""Golden output digests: sweep CSV, JSON and stdout; analyze, order-stats,
+detect and demo stdout.
 
 Each spec runs `recdiv sweep --limit 3000` at one worker and `recdiv analyze`
-in process, and each order-stats case runs `recdiv order-stats` in process;
-the sha256 of every output is compared with a recorded digest.
+in process, and each order-stats, detect and demo case runs its command in
+process; the sha256 of every output is compared with a recorded digest.
 A change that is meant to keep every output byte passes this test unchanged;
 a change that alters an output on purpose re-records the digests with
 `PYTHONPATH=src python tests/test_golden.py` and says so in CHANGES.md.
@@ -42,6 +43,37 @@ ORDER_STATS_DIGESTS = {
     'base-3': 'b95531aff7133ddfc8bcb6224a44e4696ec2e581625b9648ba3bea63c41a95bc',
     'tribonacci': 'ad6ca1c04f33d92f711cb8f7ce0384ea08450b14f7e4fd6e355b984b8613ff40',
     'base2-grid': '8e95e6cdb797a7060008caef19a015b38b867b4b20912b55bc3cc21fb7fffc6f',
+}
+
+TRIBONACCI = ("--poly", "1,-1,-1,-1", "--init", "1,1,1")
+
+# name: argv of a command whose stdout is pinned. One detect case for each
+# verdict and each refusal, and the demo's check.
+COMMANDS = {
+    "detect-structural-divisor": ("detect", *TRIBONACCI, "-p", "7"),
+    "detect-ramified": ("detect", *TRIBONACCI, "-p", "11"),
+    "detect-brute-divisor": ("detect", *TRIBONACCI, "-p", "5"),
+    "detect-brute-nondivisor": ("detect", *TRIBONACCI, "-p", "103"),
+    "detect-indeterminate": ("detect", *TRIBONACCI, "-p", "5", "--brute-cap", "1"),
+    "detect-structural-nondivisor": ("detect", "--poly", "1,0,0,-2", "--init", "1,2,3", "-p", "17"),
+    "detect-divides-c0": ("detect", "--poly", "1,-11,37,-35", "--init", "3,11,47", "-p", "5"),
+    "detect-gamma1-vanishes": ("detect", "--poly", "1,-1,-1,-1", "--init", "2,5,1", "-p", "7"),
+    "detect-degenerate": ("detect", "--poly", "1,0,0,0", "--init", "1,2,3", "-p", "7"),
+    "demo-check": ("demo", "--check", "--limit", "1000"),
+}
+
+# name: sha256 of the command's stdout
+COMMAND_DIGESTS = {
+    'detect-structural-divisor': '5d09f5274285728a3b08bd0a6c48b66f97ac642ab0e225c99408ed30d5241680',
+    'detect-ramified': 'f4a4ae39818eff5a4ad29497addb3a0811156c28cb3ea1088e61ffb597a2d48a',
+    'detect-brute-divisor': '08bc6e33657e1df29d09921f802c414d977ed640b181950476e4e619f84b1728',
+    'detect-brute-nondivisor': '95d2032363a65d880d39b3c4de7a8d81388f1aaf1eb90217e04c9afcfbbc2d6f',
+    'detect-indeterminate': '1f45e4bfc3ad6461d16996a388fe586c689826669c023598fa28f40f815824e7',
+    'detect-structural-nondivisor': 'bc26ba4a769f78496a158dd2b60acac33558839c712f2b6137d1eecf9e5ee177',
+    'detect-divides-c0': 'a8208aab548170833f6c6f2e43d4d271b7d8250818a79e0cb272596516effadc',
+    'detect-gamma1-vanishes': '7126c3d4a2928dd751c5e6ca173e7f02f36b8ec13aabbf0840de393d284e5749',
+    'detect-degenerate': '0f8e05a7d3c8fd55369124490e1b303f23ae47027a70380852071e00df912acc',
+    'demo-check': 'f65c818c285b2d6c8983affc35294746130beca4bbd7ba49db432da3346b6e35',
 }
 
 # name: {output: sha256}
@@ -112,31 +144,35 @@ def _outputs(name, capture) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_golden_outputs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("RECDIV_SEED", raising=False)
     got = _outputs(name, lambda: capsys.readouterr().out)
     assert got == DIGESTS[name]
 
 
-def _order_stats_digest(name, capture) -> str:
-    assert cli(["order-stats", *ORDER_STATS[name]]) == 0
+def _stdout_digest(argv, capture) -> str:
+    assert cli(list(argv)) == 0
     return _sha(capture().encode())
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_STATS))
 def test_golden_order_stats(name, capsys):
-    got = _order_stats_digest(name, lambda: capsys.readouterr().out)
+    got = _stdout_digest(["order-stats", *ORDER_STATS[name]], lambda: capsys.readouterr().out)
     assert got == ORDER_STATS_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_command(name, capsys):
+    got = _stdout_digest(COMMANDS[name], lambda: capsys.readouterr().out)
+    assert got == COMMAND_DIGESTS[name]
+
+
 if __name__ == "__main__":
-    # print the digests of the current code, for pasting into DIGESTS and
-    # ORDER_STATS_DIGESTS
+    # print the digests of the current code, for pasting into DIGESTS,
+    # ORDER_STATS_DIGESTS and COMMAND_DIGESTS
     import contextlib
     import io
     import os
     import tempfile
 
-    os.environ.pop("RECDIV_SEED", None)
     for name in sorted(SPECS):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -154,9 +190,10 @@ if __name__ == "__main__":
         for key, digest in got.items():
             print(f"        {key!r}: {digest!r},")
         print("    },")
-    print()
-    for name in ORDER_STATS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            got = _order_stats_digest(name, buf.getvalue)
-        print(f"    {name!r}: {got!r},")
+    for cases in ({n: ("order-stats", *a) for n, a in ORDER_STATS.items()}, COMMANDS):
+        print()
+        for name, argv in cases.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                got = _stdout_digest(argv, buf.getvalue)
+            print(f"    {name!r}: {got!r},")

@@ -1,4 +1,5 @@
-"""Every public function, class and method in the library has a caller outside the tests.
+"""Every public function, class and method in the library has a caller
+outside the tests, and every dataclass field a reader.
 
 A public module-level name in src/recdiv, and a public method or property of
 a public class there, must be referenced by library code (its own module or
@@ -7,7 +8,10 @@ or by bench/run.py. A method counts as referenced when an attribute of that
 name is. The only exceptions are listed below with a reason each, so code
 that only the tests call cannot grow back unnoticed. Reference
 implementations that only the tests call live in tests/oracles.py, and the
-package re-exports none of the listed names.
+package re-exports none of the listed names. Each field of a dataclass in
+src/recdiv must likewise be read, as an attribute, by the library, a script,
+bench/run.py or bench/trace_run.py. Reads are matched by attribute name, so
+a field that shares its name with an attribute read elsewhere passes.
 """
 
 import ast
@@ -16,6 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "recdiv").glob("*.py") if p.name != "__init__.py")
 CALLERS = [*LIBRARY, *sorted((ROOT / "scripts").glob("*.py")), ROOT / "bench" / "run.py"]
+# bench/trace_run.py is the one reader of BruteResult.steps; it counts as a
+# reader of dataclass fields only, not as a caller of public names.
+FIELD_READERS = [*CALLERS, ROOT / "bench" / "trace_run.py"]
 
 # All three stay in the library while bench/run.py traces them by name.
 TEST_ORACLES = {
@@ -63,6 +70,38 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if name.rpartition(".")[2] not in used and name not in TEST_ORACLES
     )
     assert not unused, f"public names only the tests call: {unused}"
+
+
+def _dataclass_fields():
+    """(module, "Class.field") of each annotated field of a dataclass."""
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield path.stem, f"{node.name}.{item.target.id}"
+
+
+def _read_attributes(paths):
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    # a field only its constructor writes is a placeholder
+    read = _read_attributes(FIELD_READERS)
+    unread = sorted(
+        f"{module}.{field}"
+        for module, field in _dataclass_fields()
+        if field.rpartition(".")[2] not in read
+    )
+    assert not unread, f"dataclass fields nothing outside the tests reads: {unread}"
 
 
 def test_oracle_allow_list_is_exact():
