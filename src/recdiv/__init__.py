@@ -4,8 +4,8 @@ from .arith import FactoredInteger, factor_integer, is_prime, mult_order, sieve_
 from .charpoly import PolyProfile, analyze_poly, discriminant, expected_pattern_density
 from .detect import (
     DetectPolicy,
+    PrimeRow,
     StructuralContext,
-    Verdict,
     build_context,
     structural_detect,
 )
@@ -13,7 +13,6 @@ from .fppoly import FactorPattern, fp_root, pattern
 from .orderstats import index_histogram
 from .recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 from .sweep import (
-    PrimeRow,
     SweepConfig,
     run_sweep,
     summarize,

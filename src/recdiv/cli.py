@@ -142,20 +142,21 @@ def _cmd_detect(args) -> int:
         raise UsageError(f"-p must be below 2**64, got {p}")
     if not is_prime(p):
         raise UsageError(f"-p must be a prime, got {p}")
-    pat, ctx, verdict = detect_full(spec, p, _make_policy(args))
-    print(f"p = {p}: pattern {pat.key}, squarefree {'yes' if pat.squarefree else 'no'}")
-    if ctx is not None:
+    row = detect_full(spec, p, _make_policy(args))
+    print(f"p = {p}: pattern {row.pattern}, squarefree {'yes' if row.squarefree else 'no'}")
+    if row.method == "structural":  # the structural path ran, so p has a context
+        ctx = build_context(spec, p)
         print(
             f"  structural context: root {ctx.root_base}, norm {ctx.nloc}, "
-            f"base {ctx.base}, ord {ctx.ord_base}, index {ctx.index_base}, Q {ctx.q}"
+            f"base {ctx.base}, ord {row.ord_g}, index {row.index_g}, Q {row.q}"
         )
-    print(f"  verdict: {verdict.kind} (method {verdict.method})")
-    if verdict.reason:
-        print(f"  excluded: {verdict.reason}")
-    if verdict.witness is not None:
-        print(f"  witness: a_{verdict.witness} == 0 mod {p}")
-    if verdict.detail:
-        print(f"  note: {verdict.detail}")
+    print(f"  verdict: {row.verdict} (method {row.method})")
+    if row.reason:
+        print(f"  excluded: {row.reason}")
+    if row.witness is not None:
+        print(f"  witness: a_{row.witness} == 0 mod {p}")
+    if row.detail:
+        print(f"  note: {row.detail}")
     return 0
 
 

@@ -19,7 +19,8 @@ Membership is the power test RHS^ord(G) = 1, one modular power per residue.
 On a hit the exponent k of the witness n = k*Q + r is the discrete log of
 RHS_r within <G>, found by baby-step giant-step in O(sqrt(ord G)) steps.
 
-detect_full decides one prime: a_n = 0 exactly for some n <= ZERO_SCAN_BOUND
+detect_full decides one prime and returns its PrimeRow, the row the sweep
+writes to its CSV: a_n = 0 exactly for some n <= ZERO_SCAN_BOUND
 (exact_zeros, cached per sequence and read by the sweep's metadata too)
 makes it a trivial divisor; otherwise build_context excludes it or gives the
 structural context, and a pattern other than (d-1, 1) is brute-forced.
@@ -28,7 +29,7 @@ structural context, and a pattern other than (d-1, 1) is brute-forced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .arith import factor_integer, mult_order
@@ -61,14 +62,26 @@ class StructuralContext:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Per-prime outcome with witness and method provenance."""
+class PrimeRow:
+    """One prime's decision, which is also its CSV row.
 
-    kind: str  # "divisor" | "nondivisor" | "excluded" | "indeterminate"
-    method: str = "none"  # "structural" | "brute" | "none"
-    witness: int | None = None
-    reason: str | None = None
-    detail: str | None = None
+    ord_g, index_g and q come from the structural context and are None off
+    the structural path. detail is the note `recdiv detect` prints; the CSV
+    has no column for it, so it takes no part in equality and a row read
+    back from the CSV equals the decided row.
+    """
+
+    p: int
+    pattern: str
+    squarefree: bool
+    reason: str | None
+    verdict: str  # "divisor" | "nondivisor" | "excluded" | "indeterminate"
+    method: str  # "structural" | "brute" | "none"
+    witness: int | None
+    ord_g: int | None
+    index_g: int | None
+    q: int | None
+    detail: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -89,12 +102,26 @@ class DetectPolicy:
 DEFAULT_POLICY = DetectPolicy()
 
 
-def _verified_divisor(
-    spec: RecurrenceSpec, p: int, witness: int, method: str, detail: str | None = None
-) -> Verdict:
-    if term_mod(spec, witness, p) != 0:
-        raise RuntimeError(f"witness a_{witness} of {spec.fingerprint()} does not vanish mod p={p}")
-    return Verdict("divisor", method=method, witness=witness, detail=detail)
+def _verified(spec: RecurrenceSpec, row: PrimeRow) -> None:
+    if term_mod(spec, row.witness, row.p) != 0:
+        raise RuntimeError(
+            f"witness a_{row.witness} of {spec.fingerprint()} does not vanish mod p={row.p}")
+
+
+def _row(
+    spec: RecurrenceSpec, p: int, key: str, squarefree: bool, verdict: str,
+    method: str = "none", witness: int | None = None, *, reason: str | None = None,
+    detail: str | None = None, ctx: StructuralContext | None = None,
+) -> PrimeRow:
+    """The row of p; ctx fills ord, index and Q, and a divisor's witness is
+    re-verified with term_mod."""
+    ord_g = index_g = q = None
+    if ctx is not None:
+        ord_g, index_g, q = ctx.ord_base, ctx.index_base, ctx.q
+    row = PrimeRow(p, key, squarefree, reason, verdict, method, witness, ord_g, index_g, q, detail)
+    if verdict == "divisor":
+        _verified(spec, row)
+    return row
 
 
 def build_context(
@@ -167,14 +194,16 @@ def structural_detect(
     ctx: StructuralContext,
     spec: RecurrenceSpec,
     r_cap: int,
-) -> Verdict:
+) -> PrimeRow:
     """Scan r = 0..min(Q, r_cap)-1 for a subgroup membership hit.
 
     A divisor verdict carries the witness n = k*Q + r (re-verified); a
     nondivisor verdict is only reported after the full range r < Q has been
-    scanned.
+    scanned. A context exists only at a squarefree (d-1, 1) prime, which
+    fixes the row's pattern.
     """
     p = ctx.p
+    key = f"{spec.order - 1}-1"
     full = ctx.q
     limit = min(full, r_cap)
     a1 = ctx.root_base
@@ -189,16 +218,13 @@ def structural_detect(
         if t and pow(p - t, ordg, p) == pwo:
             rhs = (p - t) * pow(pw, -1, p) % p
             n = _bsgs(ctx.base, rhs, ordg, p) * full + r
-            return _verified_divisor(spec, p, n, "structural")
+            return _row(spec, p, key, True, "divisor", "structural", n, ctx=ctx)
         pw = pw * a1 % p
         pwo = pwo * a1o % p
     if limit == full:
-        return Verdict("nondivisor", method="structural")
-    return Verdict(
-        "indeterminate",
-        method="structural",
-        detail=f"scanned {limit} of {full} residues",
-    )
+        return _row(spec, p, key, True, "nondivisor", "structural", ctx=ctx)
+    return _row(spec, p, key, True, "indeterminate", "structural", ctx=ctx,
+                detail=f"scanned {limit} of {full} residues")
 
 
 @lru_cache(maxsize=64)
@@ -216,24 +242,20 @@ def exact_zeros(spec: RecurrenceSpec) -> tuple[int, ...]:
 
 def detect_full(
     spec: RecurrenceSpec, p: int, policy: DetectPolicy = DEFAULT_POLICY
-):
-    """(pattern, context or None, verdict); a pattern mismatch is brute-forced."""
+) -> PrimeRow:
+    """The row of p; a pattern mismatch is brute-forced."""
     pat = pattern(spec.char_poly(), p)
     zeros = exact_zeros(spec)
     if zeros:
-        return pat, None, _verified_divisor(
-            spec, p, zeros[0], "none", detail="degenerate: zero term"
-        )
+        return _row(spec, p, pat.key, pat.squarefree, "divisor", witness=zeros[0],
+                    detail="degenerate: zero term")
     res = build_context(spec, p, pat)
     if isinstance(res, StructuralContext):
-        return pat, res, structural_detect(res, spec, policy.r_cap)
+        return structural_detect(res, spec, policy.r_cap)
     if res != "pattern-mismatch":
-        return pat, None, Verdict("excluded", reason=res)
+        return _row(spec, p, pat.key, pat.squarefree, "excluded", reason=res)
     scan = has_zero_bruteforce(spec, p, policy.brute_cap)
-    if scan.kind == "divisor":
-        return pat, None, _verified_divisor(spec, p, scan.witness, "brute")
-    if scan.kind == "nondivisor":
-        return pat, None, Verdict("nondivisor", method="brute")
-    return pat, None, Verdict(
-        "indeterminate", method="brute", detail=f"cap {policy.brute_cap} reached"
-    )
+    if scan.kind == "capped":
+        return _row(spec, p, pat.key, pat.squarefree, "indeterminate", "brute",
+                    detail=f"cap {policy.brute_cap} reached")
+    return _row(spec, p, pat.key, pat.squarefree, scan.kind, "brute", scan.witness)

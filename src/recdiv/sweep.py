@@ -1,13 +1,15 @@
 """Prime sweeps: orchestration, parallelism, aggregation, CSV/JSON output.
 
-Rows are computed independently per prime (all lower layers are pure), so
-the sweep maps _block_rows over contiguous blocks of primes, with the builtin
-map or a process pool's, in prime order. The summary is a function of the
-rows: summarize counts them and derives the densities into the dict that
---json writes and the CLI prints. Nothing on the sweep path is random, so
-output is byte identical across runs and worker counts. The JSON metadata
-still carries "seed": 0, a fixed value that bench/run.py deletes before it
-compares the JSON with its reference.
+A sweep's rows are the PrimeRows that detect_full returns, one per prime;
+the type lives in detect. Rows are computed independently per prime (all
+lower layers are pure), so the sweep maps _block_rows over contiguous
+blocks of primes, with the builtin map or a process pool's, in prime
+order. The summary is a function of the rows: summarize counts them and
+derives the densities into the dict that --json writes and the CLI prints.
+Nothing on the sweep path is random, so output is byte identical across
+runs and worker counts. The JSON metadata still carries "seed": 0, a fixed
+value that bench/run.py deletes before it compares the JSON with its
+reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .arith import sieve_primes
 from .charpoly import analyze_poly
-from .detect import DEFAULT_POLICY, DetectPolicy, detect_full, exact_zeros
+from .detect import DEFAULT_POLICY, DetectPolicy, PrimeRow, detect_full, exact_zeros
 from .recurrence import RecurrenceSpec
 
 # A sweep factors only p - 1, so its caps bound run time only; the Q column,
@@ -73,45 +75,14 @@ class SweepConfig:
             raise ValueError(f"cannot write the CSV and the JSON to one file: {self.json_path}")
 
 
-@dataclass(frozen=True)
-class PrimeRow:
-    """One CSV row: verdict and provenance for a single prime."""
-
-    p: int
-    pattern: str
-    squarefree: bool
-    reason: str | None
-    verdict: str
-    method: str
-    witness: int | None
-    ord_g: int | None
-    index_g: int | None
-    q: int | None
-
-
 def _block_rows(args) -> list[PrimeRow]:
     spec, primes, policy = args
     rows = []
     for p in primes:
         try:
-            pat, ctx, v = detect_full(spec, p, policy)
+            rows.append(detect_full(spec, p, policy))
         except Exception as exc:
             raise RuntimeError(f"p={p}, {spec.fingerprint()}: {exc}") from exc
-        ord_g = index_g = q = None
-        if ctx is not None:
-            ord_g, index_g, q = ctx.ord_base, ctx.index_base, ctx.q
-        rows.append(PrimeRow(
-            p=p,
-            pattern=pat.key,
-            squarefree=pat.squarefree,
-            reason=v.reason,
-            verdict=v.kind,
-            method=v.method,
-            witness=v.witness,
-            ord_g=ord_g,
-            index_g=index_g,
-            q=q,
-        ))
     return rows
 
 

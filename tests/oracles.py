@@ -120,8 +120,8 @@ def cross_validate(
         bv = has_zero_bruteforce(spec, p, cap)
         if bv.kind == "capped":
             raise ValueError(f"brute-force cap too small for a full period at p={p}")
-        if sv.kind != bv.kind:
-            mismatches.append((p, sv.kind, bv.kind))
+        if sv.verdict != bv.kind:
+            mismatches.append((p, sv.verdict, bv.kind))
     return mismatches
 
 

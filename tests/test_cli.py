@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -47,6 +48,47 @@ def test_detect_single_prime(capsys):
     assert "pattern 2-1" in out
     assert "verdict: divisor" in out
     assert "a_9 == 0 mod 7" in out
+
+
+def _detect_csv_line(seq, p, capture) -> str:
+    """What `recdiv detect` prints for p, as the sweep's CSV line for p."""
+    assert cli(["detect", *seq, "-p", str(p)]) == 0
+    out = capture()
+
+    def grab(pattern):
+        m = re.search(pattern, out, re.MULTILINE)
+        return m.groups() if m else ("",) * re.compile(pattern).groups
+
+    key, squarefree = grab(r"^p = \d+: pattern (\S+), squarefree (yes|no)$")
+    ord_g, index_g, q = grab(r"^  structural context: .*, ord (\d+), index (\d+), Q (\d+)$")
+    verdict, method = grab(r"^  verdict: (\w+) \(method (\w+)\)$")
+    (reason,) = grab(r"^  excluded: (\S+)$")
+    (witness,) = grab(rf"^  witness: a_(\d+) == 0 mod {p}$")
+    fields = (p, key, "1" if squarefree == "yes" else "0", reason, verdict, method,
+              witness, ord_g, index_g, q)
+    return ",".join(map(str, fields))
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [("--poly", "1,-1,-1,-1", "--init", "1,1,1"), ("--poly", "1,0,0,-2", "--init", "1,2,3")],
+    ids=["tribonacci", "x3-2"],
+)
+def test_detect_prints_the_sweep_row(seq, tmp_path, capsys):
+    # both commands report one decision per prime: the pattern, verdict,
+    # method, witness, ord, index and Q that detect prints are the prime's
+    # line of the sweep CSV
+    csv_p = tmp_path / "rows.csv"
+    assert cli(["sweep", *seq, "--limit", "300", "--csv", str(csv_p)]) == 0
+    capsys.readouterr()
+    lines = csv_p.read_text().splitlines()[1:]
+    assert len(lines) == 62
+    methods = set()
+    for line in lines:
+        p = int(line.split(",")[0])
+        assert _detect_csv_line(seq, p, lambda: capsys.readouterr().out) == line, p
+        methods.add(line.split(",")[5])
+    assert methods == {"structural", "brute", "none"}
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):

@@ -11,7 +11,7 @@ from recdiv.detect import (
     exact_zeros,
     structural_detect,
 )
-from recdiv.detect import _verified_divisor
+from recdiv.detect import PrimeRow, _verified
 from recdiv.fppoly import _pow_mod, factor_mod_p, solve_gamma
 from recdiv.recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod
 
@@ -107,7 +107,7 @@ def test_context_invariants(tribonacci):
 def test_structural_detect_tribonacci_p7(tribonacci):
     ctx = build_context(tribonacci, 7)
     v = structural_detect(ctx, tribonacci, r_cap=ctx.q)
-    assert v.kind == "divisor"
+    assert v.verdict == "divisor"
     assert v.witness == 9  # decomposes as r=1, k=1 with Q=8
     assert term_mod(tribonacci, 9, 7) == 0
 
@@ -117,14 +117,14 @@ def test_structural_detect_demo_p11():
     ctx = build_context(DEMO_SPEC, 11)
     assert ctx.ord_base == 10
     v = structural_detect(ctx, DEMO_SPEC, r_cap=ctx.q)
-    assert v.kind == "divisor"
+    assert v.verdict == "divisor"
     assert term_mod(DEMO_SPEC, v.witness, 11) == 0
 
 
 def test_structural_detect_empty_scan(tribonacci):
     ctx = build_context(tribonacci, 7)
     v = structural_detect(ctx, tribonacci, r_cap=0)
-    assert v.kind == "indeterminate"
+    assert v.verdict == "indeterminate"
 
 
 @pytest.mark.parametrize(
@@ -134,7 +134,7 @@ def test_structural_detect_long_scan_witnesses(tribonacci, p, witness, r):
     # hits hundreds of residues into the scan, recovered by BSGS within <G>
     ctx = build_context(tribonacci, p)
     v = structural_detect(ctx, tribonacci, r_cap=ctx.q)
-    assert v.kind == "divisor" and v.witness == witness
+    assert v.verdict == "divisor" and v.witness == witness
     assert v.witness % ctx.q == r
     assert has_zero_bruteforce(tribonacci, p, 10**7).kind == "divisor"
 
@@ -145,7 +145,7 @@ def test_structural_detect_base_of_order_one(p):
     ctx = build_context(spec, p)
     assert ctx.ord_base == 1
     v = structural_detect(ctx, spec, r_cap=ctx.q)
-    assert v.kind == "divisor" and v.witness == 1
+    assert v.verdict == "divisor" and v.witness == 1
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_SPECS))
@@ -197,7 +197,7 @@ def test_structural_nondivisor_full_scan():
         if not isinstance(ctx, StructuralContext):
             continue
         v = structural_detect(ctx, spec, r_cap=ctx.q)
-        assert v.kind == "nondivisor", p
+        assert v.verdict == "nondivisor", p
         b = has_zero_bruteforce(spec, p, 10**7)
         assert b.kind == "nondivisor"
         seen += 1
@@ -205,49 +205,49 @@ def test_structural_nondivisor_full_scan():
 
 
 def test_detect_dispatch(tribonacci):
-    v = detect_full(tribonacci, 7)[2]
-    assert v.kind == "divisor" and v.method == "structural" and v.witness == 9
-    v = detect_full(tribonacci, 3)[2]  # pattern {3}: brute path
+    v = detect_full(tribonacci, 7)
+    assert v.verdict == "divisor" and v.method == "structural" and v.witness == 9
+    v = detect_full(tribonacci, 3)  # pattern {3}: brute path
     b = has_zero_bruteforce(tribonacci, 3, 10**7)
-    assert v.kind == b.kind == "divisor" and v.witness == b.witness == 3
+    assert v.verdict == b.kind == "divisor" and v.witness == b.witness == 3
     assert v.method == "brute"
-    v = detect_full(tribonacci, 2)[2]
-    assert v.kind == "excluded" and v.reason == "ramified"
+    v = detect_full(tribonacci, 2)
+    assert v.verdict == "excluded" and v.reason == "ramified"
 
 
 def test_detect_order_two_exclusions_and_brute_path():
     # x^2 - x - 3: c0 = -3, discriminant 13; 5 leaves it irreducible, 17 splits it
     spec = RecurrenceSpec((-3, -1), (1, 1))
     for p, reason in ((3, "divides-c0"), (13, "ramified")):
-        v = detect_full(spec, p)[2]
-        assert (v.kind, v.reason, v.detail) == ("excluded", reason, None), p
+        v = detect_full(spec, p)
+        assert (v.verdict, v.reason, v.detail) == ("excluded", reason, None), p
     for p in (5, 17):
-        pat, ctx, v = detect_full(spec, p)
-        assert ctx is None and v.method == "brute", p
-        assert v.kind == has_zero_bruteforce(spec, p, 10**7).kind, p
-    assert detect_full(spec, 17)[0].key == "1-1"
+        v = detect_full(spec, p)
+        assert v.ord_g is None and v.method == "brute", p
+        assert v.verdict == has_zero_bruteforce(spec, p, 10**7).kind, p
+    assert detect_full(spec, 17).pattern == "1-1"
 
 
 def test_detect_degenerate_zero_short_circuit():
     spec = RecurrenceSpec((-1, -1, -1), (1, 0, 4))  # a_1 = 0 exactly
     for p in (2, 3, 7, 11):
-        v = detect_full(spec, p)[2]
-        assert v.kind == "divisor" and v.method == "none" and v.witness == 1
+        v = detect_full(spec, p)
+        assert v.verdict == "divisor" and v.method == "none" and v.witness == 1
 
 
 def test_detect_indeterminate_on_tiny_brute_cap(tribonacci):
     policy = DetectPolicy(brute_cap=1)
-    v = detect_full(tribonacci, 5, policy)[2]  # pattern {3}, first zero is later
-    assert v.kind == "indeterminate" and v.method == "brute"
+    v = detect_full(tribonacci, 5, policy)  # pattern {3}, first zero is later
+    assert v.verdict == "indeterminate" and v.method == "brute"
 
 
 def test_detect_full_exposes_pattern_and_context(tribonacci):
-    pat, ctx, v = detect_full(tribonacci, 7)
-    assert pat.key == "2-1" and pat.squarefree
-    assert ctx is not None and ctx.ord_base == 2
-    pat, ctx, v = detect_full(tribonacci, 2)
-    assert pat.key == "1-1-1" and not pat.squarefree
-    assert ctx is None and v.kind == "excluded"
+    v = detect_full(tribonacci, 7)
+    assert v.pattern == "2-1" and v.squarefree
+    assert (v.ord_g, v.index_g, v.q) == (2, 3, 8)
+    v = detect_full(tribonacci, 2)
+    assert v.pattern == "1-1-1" and not v.squarefree
+    assert (v.ord_g, v.index_g, v.q) == (None, None, None) and v.verdict == "excluded"
 
 
 def test_every_divisor_verdict_carries_verified_witness(tribonacci):
@@ -258,17 +258,20 @@ def test_every_divisor_verdict_carries_verified_witness(tribonacci):
     ]
     for spec in specs:
         for p in sieve_primes(200):
-            v = detect_full(spec, p)[2]
-            if v.kind == "divisor":
+            v = detect_full(spec, p)
+            if v.verdict == "divisor":
                 assert v.witness is not None
                 assert term_mod(spec, v.witness, p) == 0
 
 
 def test_wrong_divisor_witness_raises_naming_p_and_sequence(tribonacci):
     # a_3 = 3 vanishes mod 3 but not mod 7, so 3 is no witness at p = 7
-    assert _verified_divisor(tribonacci, 3, 3, "brute").witness == 3
+    def row(p):
+        return PrimeRow(p, "3", True, None, "divisor", "brute", 3, None, None, None)
+
+    _verified(tribonacci, row(3))
     with pytest.raises(RuntimeError, match=r"a_3 of c=-1,-1,-1;a=1,1,1 .* mod p=7"):
-        _verified_divisor(tribonacci, 7, 3, "brute")
+        _verified(tribonacci, row(7))
 
 
 def test_cross_validate_empty_on_small_ranges(tribonacci):
@@ -322,7 +325,7 @@ def test_structural_and_brute_agree_on_sampled_primes():
             bv = has_zero_bruteforce(spec, p, 10**6)
             if bv.kind == "capped":
                 continue
-            assert sv.kind == bv.kind, (name, p)
+            assert sv.verdict == bv.kind, (name, p)
             if bv.kind == "divisor":
                 assert bv.witness <= sv.witness, (name, p)
             compared += 1

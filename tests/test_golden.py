@@ -48,7 +48,9 @@ ORDER_STATS_DIGESTS = {
 TRIBONACCI = ("--poly", "1,-1,-1,-1", "--init", "1,1,1")
 
 # name: argv of a command whose stdout is pinned. One detect case for each
-# verdict and each refusal, and the demo's check.
+# verdict and each refusal, a structural indeterminate (context line and
+# note) and a degenerate divisor at a 2-1 prime (no context line), and the
+# demo's check.
 COMMANDS = {
     "detect-structural-divisor": ("detect", *TRIBONACCI, "-p", "7"),
     "detect-ramified": ("detect", *TRIBONACCI, "-p", "11"),
@@ -59,6 +61,9 @@ COMMANDS = {
     "detect-divides-c0": ("detect", "--poly", "1,-11,37,-35", "--init", "3,11,47", "-p", "5"),
     "detect-gamma1-vanishes": ("detect", "--poly", "1,-1,-1,-1", "--init", "2,5,1", "-p", "7"),
     "detect-degenerate": ("detect", "--poly", "1,0,0,0", "--init", "1,2,3", "-p", "7"),
+    "detect-structural-indeterminate": (
+        "detect", "--poly", "1,0,0,-2", "--init", "1,2,3", "-p", "17", "--r-cap", "1"),
+    "detect-degenerate-at-2-1": ("detect", *TRIBONACCI[:2], "--init", "0,1,1", "-p", "7"),
     "demo-check": ("demo", "--check", "--limit", "1000"),
 }
 
@@ -73,6 +78,8 @@ COMMAND_DIGESTS = {
     'detect-divides-c0': 'a8208aab548170833f6c6f2e43d4d271b7d8250818a79e0cb272596516effadc',
     'detect-gamma1-vanishes': '7126c3d4a2928dd751c5e6ca173e7f02f36b8ec13aabbf0840de393d284e5749',
     'detect-degenerate': '0f8e05a7d3c8fd55369124490e1b303f23ae47027a70380852071e00df912acc',
+    'detect-structural-indeterminate': '8239ad6339eff26ceb5b9c46ffdbeb84c432ebc3a134fdae45ea77c02cae466c',
+    'detect-degenerate-at-2-1': '216ec34e2a7fcf1feaeff3bcdde20f38479bc4e20127f7e398cba13cc7fff5d5',
     'demo-check': 'f65c818c285b2d6c8983affc35294746130beca4bbd7ba49db432da3346b6e35',
 }
 

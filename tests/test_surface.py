@@ -12,6 +12,8 @@ package re-exports none of the listed names. Each field of a dataclass in
 src/recdiv must likewise be read, as an attribute, by the library, a script,
 bench/run.py or bench/trace_run.py. Reads are matched by attribute name, so
 a field that shares its name with an attribute read elsewhere passes.
+Every name that a module of the library (bar __init__), of scripts/ or of
+tests/ imports is used in that module.
 """
 
 import ast
@@ -125,3 +127,26 @@ def test_package_reexports_no_oracle():
     }
     bare = {name.rpartition(".")[2] for name in TEST_ORACLES}
     assert not bare & exported, f"recdiv re-exports test oracles: {sorted(bare & exported)}"
+
+
+def test_no_unused_imports():
+    # the name an import binds must occur as a name in the module; __init__
+    # imports to re-export, and a __future__ import binds nothing
+    paths = [
+        *LIBRARY,
+        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+    ]
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.relative_to(ROOT)}: {alias.name}")
+    assert not unused, f"imported but never used: {unused}"

@@ -27,10 +27,7 @@ def test_rows_match_individual_detect(tribonacci, small_sweep):
     rows, _ = small_sweep
     assert [r.p for r in rows] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     for row in rows:
-        v = detect_full(tribonacci, row.p)[2]
-        assert row.verdict == v.kind
-        assert row.method == v.method
-        assert row.witness == v.witness
+        assert row == detect_full(tribonacci, row.p)
 
 
 def test_limit_two_only_excludes_ramified(tribonacci):
@@ -85,17 +82,30 @@ def _parse_csv(text: str) -> list[PrimeRow]:
     return rows
 
 
+X3_MINUS_2 = RecurrenceSpec.from_char_poly([1, 0, 0, -2], [1, 2, 3])
+TRIBONACCI_011 = RecurrenceSpec.from_char_poly([1, -1, -1, -1], [0, 1, 1])
+
+
 def test_folding_csv_reproduces_summary(tribonacci, tmp_path):
-    # the JSON is a function of the CSV: summarize over the rows read back
-    # from the written CSV, with the run's meta, is the written JSON; at 2
-    # workers the 95 primes make three blocks, so a pool runs
-    for workers in (1, 2):
-        csv_p = tmp_path / f"w{workers}.csv"
-        json_p = tmp_path / f"w{workers}.json"
-        run_sweep(
+    # the CSV reads back to the very rows the sweep decided, and the JSON is
+    # a function of those rows: summarize over them, with the run's meta, is
+    # the written JSON. At 2 workers the 95 primes make three blocks, so a
+    # pool runs. The capped and degenerate runs give rows with a note for
+    # `recdiv detect`, which the CSV drops and equality ignores.
+    cases = [
+        (tribonacci, DetectPolicy(), 1),
+        (tribonacci, DetectPolicy(), 2),
+        (X3_MINUS_2, DetectPolicy(r_cap=1, brute_cap=1), 1),  # indeterminate
+        (TRIBONACCI_011, DetectPolicy(), 1),  # a_0 = 0: degenerate
+    ]
+    for i, (spec, policy, workers) in enumerate(cases):
+        csv_p = tmp_path / f"{i}.csv"
+        json_p = tmp_path / f"{i}.json"
+        rows, _ = run_sweep(
             SweepConfig(
-                spec=tribonacci,
+                spec=spec,
                 limit=500,
+                policy=policy,
                 workers=workers,
                 csv_path=str(csv_p),
                 json_path=str(json_p),
@@ -103,7 +113,11 @@ def test_folding_csv_reproduces_summary(tribonacci, tmp_path):
         )
         written = json.loads(json_p.read_text())
         parsed = _parse_csv(csv_p.read_text())
-        assert summarize(tribonacci.fingerprint(), parsed, written["meta"]) == written
+        assert parsed == rows
+        if spec is not tribonacci:
+            assert all(row.detail for row in rows if row.verdict != "excluded")
+            assert {row.detail for row in parsed} == {None}
+        assert summarize(spec.fingerprint(), parsed, written["meta"]) == written
 
 
 def test_run_twice_byte_identical(tribonacci, tmp_path):
@@ -165,11 +179,8 @@ def test_order_five_rows_past_the_old_word_guard():
     assert [r.p for r in rows] == primes
     assert {r.method for r in rows} == {"structural", "brute"}
     for row in rows:
-        pat, ctx, v = detect_full(PENTANACCI, row.p)
-        assert (row.pattern, row.verdict, row.method, row.witness) == (
-            pat.key, v.kind, v.method, v.witness)
-        assert (row.ord_g, row.index_g, row.q) == (
-            (ctx.ord_base, ctx.index_base, ctx.q) if ctx else (None, None, None))
+        assert row == detect_full(PENTANACCI, row.p)
+        assert (row.ord_g is None) == (row.method != "structural")
 
 
 def test_csv_prints_q_above_63_bits_exactly():
