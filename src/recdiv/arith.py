@@ -176,18 +176,13 @@ def factor_integer(n: int) -> FactoredInteger:
     return FactoredInteger(value, tuple(sorted(found.items())))
 
 
-def mult_order(a: int, p: int, totient: FactoredInteger) -> int:
-    """Least e >= 1 with a**e == 1 mod p, for prime p and a not divisible by p.
-
-    totient must be the factorization of p - 1.
-    """
+def mult_order(a: int, p: int) -> int:
+    """Least e >= 1 with a**e == 1 mod p, for prime p and a not divisible by p."""
     a %= p
     if a == 0:
         raise ValueError("zero has no multiplicative order")
-    if totient.value != p - 1:
-        raise ValueError("totient must factor p - 1")
     order = p - 1
-    for q, _ in totient.factors:
+    for q, _ in factor_integer(p - 1).factors:
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order

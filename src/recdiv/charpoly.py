@@ -207,6 +207,36 @@ def expected_pattern_density(d: int, parts) -> Fraction:
 # ---------------------------------------------------------------------------
 # profile
 
+# analyze_poly computes a Hankel determinant for each order in
+# _ratio_orders(d), from power sums up to s_((2d-2) max order). Its work
+# grows fast in the degree (2.65 s at x^16 - x - 1, 16 s at degree 20) and
+# with the bit length of those power sums (8 s for a quintic with one
+# 300-digit coefficient), so it refuses a polynomial beyond either bound.
+MAX_DEGREE = 16
+MAX_POWER_SUM_BITS = 2**16
+
+
+class PolyTooLarge(ValueError):
+    """The polynomial is beyond analyze_poly's degree or power-sum bound."""
+
+
+def check_bounds(poly: list[int]) -> None:
+    """Raise PolyTooLarge unless analyze_poly's work on poly (trimmed) is bounded.
+
+    The degree is checked first, so a high degree never reaches
+    _ratio_orders. The power sums are estimated at (2d - 2) times the
+    largest ratio order times the bit length of 1 + max |c_i|.
+    """
+    d = len(poly) - 1
+    if d > MAX_DEGREE:
+        raise PolyTooLarge(f"degree {d} exceeds the analysis bound of {MAX_DEGREE}")
+    bits = (2 * d - 2) * _ratio_orders(d)[-1] * (1 + max(map(abs, poly))).bit_length()
+    if bits > MAX_POWER_SUM_BITS:
+        raise PolyTooLarge(
+            f"coefficients too large: the ratio test's power sums would reach about "
+            f"{bits} bits, above the analysis bound of {MAX_POWER_SUM_BITS}"
+        )
+
 
 @dataclass(frozen=True)
 class PolyProfile:
@@ -242,12 +272,14 @@ def analyze_poly(coeffs, prime_budget: int = 200) -> PolyProfile:
     containing both is the full symmetric group. Witness primes stop being
     recorded at certification; they are kept when certification fails, and
     dropped unless the polynomial is proved irreducible. One walk over the
-    sampled primes serves both searches, taking each pattern once.
+    sampled primes serves both searches, taking each pattern once. A
+    polynomial beyond check_bounds raises PolyTooLarge before any of that.
     """
     poly = _ipoly(coeffs)
     d = len(poly) - 1
     if d < 1 or poly[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
+    check_bounds(poly)
     disc = _disc(poly)
     nondeg, deg_order = _least_ratio_order(poly)
     witnesses: dict[str, int] = {}

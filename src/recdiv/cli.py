@@ -10,7 +10,7 @@ import re
 import sys
 
 from .arith import is_prime, sieve_primes
-from .charpoly import PrimeBudgetTooLarge, analyze_poly
+from .charpoly import PolyTooLarge, PrimeBudgetTooLarge, analyze_poly
 from .detect import DEFAULT_POLICY, DetectPolicy, StructuralContext, build_context, detect_full
 from .orderstats import MAX_LIMIT, MIN_LIMIT, NoQualifyingPrimes, index_histogram
 from .recurrence import RecurrenceSpec
@@ -71,6 +71,8 @@ def _cmd_analyze(args) -> int:
         profile = analyze_poly(list(reversed(poly)), prime_budget=args.prime_budget)
     except PrimeBudgetTooLarge as exc:
         raise UsageError(f"--prime-budget too large: {exc}") from exc
+    except PolyTooLarge as exc:
+        raise UsageError(str(exc)) from exc
     print(f"polynomial (low to high): {list(profile.poly)}")
     print(f"discriminant:            {profile.discriminant}")
     wit = f" (witness {profile.irreducible_witness})" if profile.irreducible_witness is not None else ""

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import factor_integer, mult_order
+from .arith import mult_order
 from .fppoly import FactorPattern, _eval, pattern
 from .recurrence import RecurrenceSpec, has_zero_bruteforce, term_mod, term_stream
 
@@ -156,7 +156,7 @@ def build_context(
         return "gamma1-vanishes"
     nloc = (-1) ** d * spec.coeffs[0] % p
     base = pow(a1, d, p) * pow(nloc, -1, p) % p
-    ord_base = mult_order(base, p, factor_integer(p - 1))
+    ord_base = mult_order(base, p)
     q = (p ** (d - 1) - 1) // (p - 1)
     if __debug__:
         assert nloc == a1 * (-1) ** (d - 1) * g[0] % p, "norm identity violated"

@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .arith import sieve_primes
-from .charpoly import analyze_poly
+from .charpoly import analyze_poly, check_bounds
 from .detect import DEFAULT_POLICY, DetectPolicy, PrimeRow, detect_full, exact_zeros
 from .recurrence import RecurrenceSpec
 
@@ -40,6 +41,7 @@ class SweepConfig:
     """One sweep: the sequence, the prime bound, scan budgets, and output paths.
 
     Rejects, with a ValueError, an order or limit beyond the sweep guards,
+    a polynomial beyond analyze_poly's bounds (charpoly.check_bounds),
     a limit below 2, a worker count outside 1..MAX_WORKERS, an output
     path that is empty, is a directory or whose directory does not exist,
     and a CSV and a JSON path that resolve to one file, so a bad path fails
@@ -57,6 +59,7 @@ class SweepConfig:
         d = self.spec.order
         if d > MAX_ORDER:
             raise ValueError(f"order {d} exceeds the sweep cap of {MAX_ORDER}")
+        check_bounds(list(self.spec.char_poly()))
         if self.limit < 2:
             raise ValueError(f"limit must be at least 2, the least prime, got {self.limit}")
         if self.limit > MAX_LIMIT:
@@ -178,33 +181,31 @@ def _cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def csv_lines(rows: list[PrimeRow]) -> list[str]:
-    lines = [CSV_HEADER]
+def csv_lines(rows: list[PrimeRow]) -> Iterator[str]:
+    """The header, then one line per row, without line endings."""
+    yield CSV_HEADER
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.p),
-                    r.pattern,
-                    "1" if r.squarefree else "0",
-                    r.reason or "",
-                    r.verdict,
-                    r.method,
-                    _cell(r.witness),
-                    _cell(r.ord_g),
-                    _cell(r.index_g),
-                    _cell(r.q),
-                )
+        yield ",".join(
+            (
+                str(r.p),
+                r.pattern,
+                "1" if r.squarefree else "0",
+                r.reason or "",
+                r.verdict,
+                r.method,
+                _cell(r.witness),
+                _cell(r.ord_g),
+                _cell(r.index_g),
+                _cell(r.q),
             )
         )
-    return lines
 
 
 def write_csv(rows: list[PrimeRow], path: str) -> None:
-    """Fixed-schema CSV, LF line endings, one header line."""
+    """Fixed-schema CSV, LF line endings, one header line, written line by line."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(csv_lines(rows)) + "\n")
+            fh.writelines(line + "\n" for line in csv_lines(rows))
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 

@@ -1,6 +1,6 @@
 import pytest
 
-from recdiv import RecurrenceSpec
+from recdiv.recurrence import RecurrenceSpec
 
 # x^3 - x^2 - x - 1, lowest degree first
 TRIB_POLY = (-1, -1, -1, 1)

@@ -396,6 +396,49 @@ def test_analyze_prime_budget_beyond_sample_is_usage_error(capsys, monkeypatch):
     assert "20000" in err and "9591" in err
 
 
+def _refuse(*args):
+    raise AssertionError("ratio test work done before the bounds were checked")
+
+
+@pytest.fixture
+def no_power_sums(monkeypatch):
+    import recdiv.charpoly
+
+    monkeypatch.setattr(recdiv.charpoly, "_power_sums", _refuse)
+
+
+@pytest.mark.parametrize("degree", [17, 200])
+def test_analyze_beyond_degree_bound_is_usage_error(capsys, monkeypatch, no_power_sums, degree):
+    # the ratio orders of degree d run to 2(d(d-1))^2, so the degree is
+    # checked before they are computed
+    import recdiv.charpoly
+
+    monkeypatch.setattr(recdiv.charpoly, "_ratio_orders", _refuse)
+    poly = ",".join(["1", *["0"] * (degree - 2), "-1", "-1"])  # x^d - x - 1
+    assert cli(["analyze", "--poly", poly]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"degree {degree} exceeds the analysis bound of 16" in err
+
+
+def test_analyze_beyond_power_sum_bound_is_usage_error(capsys, no_power_sums):
+    # x^5 + (10^300 - 1) x^4 - x - 1: about 8 x 66 x 997 bits of power sums
+    assert cli(["analyze", "--poly", f"1,{'9' * 300},0,0,-1,-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "526416 bits, above the analysis bound of 65536" in err
+
+
+def test_sweep_beyond_power_sum_bound_writes_nothing(tmp_path, capsys, no_power_sums):
+    # the discriminant of this cubic has about 6,000 digits, more than the
+    # JSON writer can print
+    csv, json_ = tmp_path / "x.csv", tmp_path / "x.json"
+    rc = cli(["sweep", "--poly", f"1,{'7' * 1500},-1,-1", "--init", "1,1,1", "--limit", "100",
+              "--csv", str(csv), "--json", str(json_)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "above the analysis bound of 65536" in err
+    assert not csv.exists() and not json_.exists()
+
+
 @pytest.mark.parametrize(
     "flag, target",
     [

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from recdiv.arith import factor_integer, mult_order, sieve_primes
+from recdiv.arith import mult_order, sieve_primes
 from recdiv.charpoly import discriminant
 from recdiv.fppoly import fp_root
 from recdiv.orderstats import MAX_LIMIT, artin_fraction, index_histogram
@@ -23,7 +23,7 @@ def root_index(coeffs, p: int) -> tuple[int, int, int] | None:
     root = fp_root(coeffs, p)
     if root is None or root == 0:
         return None
-    return p, root, (p - 1) // mult_order(root, p, factor_integer(p - 1))
+    return p, root, (p - 1) // mult_order(root, p)
 
 
 def _oracle_rows(coeffs, limit: int) -> list[tuple[int, int, int]]:
@@ -184,7 +184,7 @@ def test_rows_skip_ramified_and_leading(tribonacci):
     ps = {p for p, _, _ in rows}
     assert 2 not in ps and 11 not in ps  # disc = -44
     for p, root, k in rows:
-        assert mult_order(root, p, factor_integer(p - 1)) == (p - 1) // k
+        assert mult_order(root, p) == (p - 1) // k
 
 
 def test_index_one_is_sympy_primitive_root():

@@ -347,7 +347,7 @@ def _block_edge_cases():
     3*BLOCK mod 18433."""
     cases = []
     for p, blocks, orders in ((12289, 2, range(1, 6)), (18433, 3, (1,))):
-        g = next(a for a in range(2, p) if mult_order(a, p, factor_integer(p - 1)) == p - 1)
+        g = next(a for a in range(2, p) if mult_order(a, p) == p - 1)
         r = pow(g, (p - 1) // (blocks * BLOCK), p)
         for d in orders:
             cases.append((_roots_power_sums(p, [pow(r, j, p) for j in range(1, d + 1)]), p))
@@ -410,7 +410,7 @@ def _long_order(p):
 
 def _long_period(d, p, order):
     """Power sums of r, r^2, ..., r^d with r of the given order: that is the period."""
-    g = next(a for a in range(2, p) if mult_order(a, p, factor_integer(p - 1)) == p - 1)
+    g = next(a for a in range(2, p) if mult_order(a, p) == p - 1)
     r = pow(g, (p - 1) // order, p)
     return _roots_power_sums(p, [pow(r, j, p) for j in range(1, d + 1)])
 

@@ -3,24 +3,33 @@ outside the tests, and every dataclass field a reader.
 
 A public module-level name in src/recdiv, and a public method or property of
 a public class there, must be referenced by library code (its own module or
-another; the re-exports in __init__ do not count), by a script in scripts/,
-or by bench/run.py. A method counts as referenced when an attribute of that
-name is. The only exceptions are listed below with a reason each, so code
-that only the tests call cannot grow back unnoticed. Reference
-implementations that only the tests call live in tests/oracles.py, and the
-package re-exports none of the listed names. Each field of a dataclass in
-src/recdiv must likewise be read, as an attribute, by the library, a script,
-bench/run.py or bench/trace_run.py. Reads are matched by attribute name, so
-a field that shares its name with an attribute read elsewhere passes.
-Every name that a module of the library (bar __init__), of scripts/ or of
-tests/ imports is used in that module.
+another), by a script in scripts/, or by bench/run.py. A method counts as
+referenced when an attribute of that name is. The only exceptions are listed
+below with a reason each, so code that only the tests call cannot grow back
+unnoticed. Reference implementations that only the tests call live in
+tests/oracles.py. Each field of a dataclass in src/recdiv must likewise be
+read, as an attribute, by the library, a script, bench/run.py or
+bench/trace_run.py. Reads are matched by attribute name, so a field that
+shares its name with an attribute read elsewhere passes; a second check
+therefore runs the golden commands with every library dataclass's attribute
+reads recorded, and each field must be read there by library code, bar an
+allow-list with a reason each. Every name that a module of the library, of
+scripts/ or of tests/ imports is used in that module. The package root
+imports nothing, and nothing imports from it: each name comes from the
+module that defines it.
 """
 
 import ast
+import dataclasses
+import importlib
+import sys
 from pathlib import Path
 
+from recdiv.cli import cli
+from test_golden import COMMANDS, ORDER_STATS, SPECS, _outputs
+
 ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = sorted(p for p in (ROOT / "src" / "recdiv").glob("*.py") if p.name != "__init__.py")
+LIBRARY = sorted((ROOT / "src" / "recdiv").glob("*.py"))
 CALLERS = [*LIBRARY, *sorted((ROOT / "scripts").glob("*.py")), ROOT / "bench" / "run.py"]
 # bench/trace_run.py is the one reader of BruteResult.steps; it counts as a
 # reader of dataclass fields only, not as a caller of public names.
@@ -106,6 +115,46 @@ def test_every_dataclass_field_has_a_reader_outside_the_tests():
     assert not unread, f"dataclass fields nothing outside the tests reads: {unread}"
 
 
+# fields the golden commands never read, each with its reader
+UNREAD_BY_THE_CLI = {
+    "BruteResult.steps": "bench/trace_run.py sums it to count brute-force steps by kind",
+}
+
+
+def test_every_dataclass_field_is_read_by_the_library_while_the_cli_runs(
+        monkeypatch, tmp_path, capsys):
+    # a read counts when the frame doing it runs a library file, so the
+    # generated __init__, __eq__, __hash__ and __repr__ (compiled from
+    # strings) and the tests do not count, and neither does a read of
+    # another type's attribute of the same name
+    library = {str(path) for path in LIBRARY}
+    fields = set()
+    reads = set()
+    for path in LIBRARY:
+        if path.stem.startswith("__"):  # __main__ would run the CLI on import
+            continue
+        module = importlib.import_module(f"recdiv.{path.stem}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            names = {f.name for f in dataclasses.fields(cls)}
+            fields |= {f"{cls.__name__}.{name}" for name in names}
+
+            def recorded(self, name, _get=cls.__getattribute__, _names=names, _cls=cls.__name__):
+                if name in _names and sys._getframe(1).f_code.co_filename in library:
+                    reads.add(f"{_cls}.{name}")
+                return _get(self, name)
+
+            monkeypatch.setattr(cls, "__getattribute__", recorded)
+    monkeypatch.chdir(tmp_path)
+    for name in sorted(SPECS):
+        _outputs(name, lambda: capsys.readouterr().out)
+    for argv in [*(("order-stats", *args) for args in ORDER_STATS.values()), *COMMANDS.values()]:
+        assert cli(list(argv)) == 0
+    assert sorted(fields - reads) == sorted(UNREAD_BY_THE_CLI)
+
+
 def test_oracle_allow_list_is_exact():
     # each entry is defined, has no caller outside the tests, and a test calls it
     defined = {name for _, name in _public_definitions()}
@@ -117,21 +166,25 @@ def test_oracle_allow_list_is_exact():
     assert bare <= tested
 
 
-def test_package_reexports_no_oracle():
+def test_package_root_imports_nothing():
     init = ast.parse((ROOT / "src" / "recdiv" / "__init__.py").read_text())
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(init)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    bare = {name.rpartition(".")[2] for name in TEST_ORACLES}
-    assert not bare & exported, f"recdiv re-exports test oracles: {sorted(bare & exported)}"
+    imports = [
+        ast.unparse(node) for node in ast.walk(init) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not imports, f"the package root imports: {imports}"
+    from_root = [
+        str(path.relative_to(ROOT))
+        for top in ("src", "scripts", "tests", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "recdiv"
+    ]
+    assert not from_root, f"names imported from the package root: {from_root}"
 
 
 def test_no_unused_imports():
-    # the name an import binds must occur as a name in the module; __init__
-    # imports to re-export, and a __future__ import binds nothing
+    # the name an import binds must occur as a name in the module; a
+    # __future__ import binds nothing
     paths = [
         *LIBRARY,
         *sorted((ROOT / "scripts").glob("*.py")),

@@ -44,7 +44,7 @@ def test_limit_two_only_excludes_ramified(tribonacci):
 
 def test_schema_exact_lines(small_sweep):
     rows, _ = small_sweep
-    lines = csv_lines(rows)
+    lines = list(csv_lines(rows))
     assert lines[0] == CSV_HEADER
     by_p = {int(line.split(",")[0]): line for line in lines[1:]}
     assert by_p[2] == "2,1-1-1,0,ramified,excluded,none,,,,"
@@ -188,7 +188,7 @@ def test_csv_prints_q_above_63_bits_exactly():
     rows = _block_rows((PENTANACCI, [p], DetectPolicy(r_cap=1000, brute_cap=1000)))
     q = (p**4 - 1) // (p - 1)
     assert rows[0].q == q > 2**63
-    assert csv_lines(rows)[1].split(",")[-1] == str(q) == "26998848016385922300"
+    assert list(csv_lines(rows))[1].split(",")[-1] == str(q) == "26998848016385922300"
 
 
 def test_indeterminate_rows_never_count_as_decided(tribonacci):
@@ -228,3 +228,23 @@ def test_csv_write_failure_reports_path(tribonacci, small_sweep):
     rows, _ = small_sweep
     with pytest.raises(OSError, match="/nonexistent-dir/out.csv"):
         write_csv(rows, "/nonexistent-dir/out.csv")
+
+
+def test_csv_is_written_line_by_line(tmp_path):
+    # the whole file is never held as one string: 50,000 rows peak far below
+    # the 7.7 MiB that joining their lines took
+    import tracemalloc
+
+    rows = [
+        PrimeRow(p, "2-1", True, None, "divisor", "structural", 9, 2, 3, p + 1)
+        for p in range(10**6, 10**6 + 50_000)
+    ]
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        write_csv(rows, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert path.read_text() == "\n".join(csv_lines(rows)) + "\n"

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from recdiv.arith import factor_integer, mult_order, sieve_primes
+from recdiv.arith import mult_order, sieve_primes
 from recdiv.charpoly import _least_ratio_order, discriminant
 
 sympy = pytest.importorskip("sympy")
@@ -106,4 +106,4 @@ def test_mult_order_matches_n_order():
     primes = sieve_primes(10**6)
     for p in rng.sample(primes, 200):
         a = rng.randrange(1, p)
-        assert mult_order(a, p, factor_integer(p - 1)) == sympy.n_order(a, p), (a, p)
+        assert mult_order(a, p) == sympy.n_order(a, p), (a, p)
