@@ -14,37 +14,45 @@ reason as the term stream below: every divisor witness is re-verified with
 The zero scan walks the state orbit directly; the orbit is purely periodic
 exactly when p does not divide c_0.
 
-Every scan of a_n mod p steps one generator per order, `term_stream`: its
+A scan of a_n mod p steps one generator per order, `term_stream`: its
 source is written out for d state and d multiplier locals and compiled
 once. A generic step that rebuilds the state list and sums a generator took
 about 0.9-1.5 us at orders 3 and 4, against 0.17-0.33 us unrolled. The
 structural scan reads it term by term. The zero scan decides every prime
 the structural detector does not, and a scan may take a whole period, up to
-p^d - 1 steps. At an odd prime it takes the first BLOCK + 2d - 1 terms
-(BLOCK = 512) off the stream once and hands them to `_block_scan`, which
-tests BLOCK terms per step from n = 0: every term of a block is a fixed
-combination of d packed windows of the first terms, weighted by the
-coefficients u of x^n mod f, and an exact divisibility test by
-multiplication with p^-1 mod 2^w marks the zeros in all lanes at once. The
-packing needs an odd modulus; p = 2 is decided from its first d + 1 terms.
-The block loop is generated once per order as well (`_scan_kernel`): the
-windows, the rows of x^BLOCK and u are locals, a block is one expression
-(u0*w0 + ... + u{d-1}*w{d-1}) & low, two comparisons with all-set bit
-patterns and d dot products mod p. A block that misses a bit is yielded
-with the missing bits, its zeros or else its return candidates, so the
-caller locates lanes without redoing the tests, and checks a candidate
-on a slice of d lanes, not on shifts of the whole block. The lane masks
-that depend only on (d, w, width) come from a small cache. The head is
-packed by one array('Q'), one strided bytearray assignment per byte of p
-and one int.from_bytes, not one int.to_bytes per term. For Tribonacci at p from 2e4 to 2.9e6 a block costs
-9-11 us (18-21 ns per term), against 12-16 us for the generic loop with
-per-term packing (both loaded in one process, alternated, best of 12,
-CPython 3.11.7, 2-core VM). Every scan at an odd prime pays a fixed cost,
-however early it ends: a Tribonacci call whose least zero is a_1 took
-87 us at p = 101, 143 us at 20,011 and 160 us at 1,000,003, of which the
-517-term head took 43, 79 and 78 us and `_block_scan` the rest (best of 15
-rounds of 300 calls, same machine; the host drifted by up to 1.8x between
-runs). The stream costs 0.15-0.19 us per term.
+p^d - 1 steps. At an odd prime it hands its head, the first BLOCK + 2d - 1
+terms (BLOCK = 512), to `_block_scan`. The head is a reduction of one
+integer sequence, the same at every prime, so its exact terms are walked
+once per sequence and cached (`_exact_prefix`, up to the first term past
+the initial ones wider than HEAD_BITS = 1024 bits), and each prime reduces
+them in one comprehension; the stream continues from the last d residues
+only when the prefix stops short of the head. `_block_scan` tests BLOCK
+terms per step from n = 0: every term of a block is a fixed combination of
+d packed windows of the first terms, weighted by the coefficients u of x^n
+mod f, and an exact divisibility test by multiplication with p^-1 mod 2^w
+marks the zeros in all lanes at once. The packing needs an odd modulus;
+p = 2 is decided from its first d + 1 terms. The block loop is generated once
+per order as well (`_scan_kernel`): the windows, the rows of x^BLOCK and u
+are locals, a block is one expression (u0*w0 + ... + u{d-1}*w{d-1}) & low,
+two comparisons with all-set bit patterns and d dot products mod p. A block
+that misses a bit is yielded with the missing bits, its zeros or else its
+return candidates, so the caller locates lanes without redoing the tests,
+and checks a candidate on a slice of d lanes, not on shifts of the whole
+block. The lane masks that depend only on (d, w, width) come from a small
+cache. The head is packed by one array('Q'), one strided bytearray
+assignment per byte of p and one int.from_bytes, not one int.to_bytes per
+term. For Tribonacci at p from 2e4 to 2.9e6 a block costs 9-11 us (18-21 ns
+per term), against 12-16 us for the generic loop with per-term packing
+(both loaded in one process, alternated, best of 12, CPython 3.11.7, 2-core
+VM). Every scan at an odd prime pays a fixed cost, however early it ends: a
+Tribonacci call whose least zero is a_1 took 54 us at p = 101, 66 us at
+20,011 and 73 us at 1,000,003, of which the 517-term head took 26-30 us and
+`_block_scan` the rest; the head off the stream had taken 35, 62 and 62 us,
+and the whole call 62, 99 and 107 us. At order 4 the call took 62-82 us
+with a 29-31 us head, against 94-147 us with a 58-94 us stream head (best
+of 15 rounds of 300 calls, both versions loaded in one process and
+alternated, same machine). The stream costs 0.14-0.25 us per term at orders
+3 and 4.
 """
 
 from __future__ import annotations
@@ -297,25 +305,61 @@ def _block_scan(ks: list[int], head: list[int], p: int, cap: int) -> BruteResult
     return BruteResult("capped", steps=cap)
 
 
+# The widest exact term, in bits, that the zero scan's head reduces mod p
+# (_exact_prefix). Reducing a b-bit integer took about 35 + 0.2 b ns and a
+# stream step 140, 210 and 240 ns at orders 3, 4 and 5 (CPython 3.11.7,
+# 2-core VM), which break even near 500, 900 and 1050 bits. The cap also
+# bounds the cache: 64 heads of 1024-bit terms are about 5 MB.
+HEAD_BITS = 1024
+
+
+@lru_cache(maxsize=64)
+def _exact_prefix(spec: RecurrenceSpec) -> tuple[int, ...]:
+    """The exact terms a_0..a_{BLOCK+2d-2}, stopping before the first term
+    past the initial ones that is wider than HEAD_BITS bits."""
+    d = spec.order
+    terms = list(spec.init)
+    for _ in range(BLOCK + d - 1):
+        t = -sum(c * v for c, v in zip(spec.coeffs, terms[-d:]))
+        if t.bit_length() > HEAD_BITS:
+            break
+        terms.append(t)
+    return tuple(terms)
+
+
+def _head(spec: RecurrenceSpec, ks: list[int], p: int, m: int) -> list[int]:
+    """a_0..a_{m-1} mod p, m <= BLOCK + 2d - 1: the exact prefix reduced,
+    then the stream from the prefix's last d residues for the terms past it."""
+    head = [v % p for v in _exact_prefix(spec)[:m]]
+    if len(head) < m:
+        d = spec.order
+        head += islice(_stream(d)(ks, head[-d:], p), d, d + m - len(head))
+    return head
+
+
 def has_zero_bruteforce(spec: RecurrenceSpec, p: int, cap: int) -> BruteResult:
     """Scan a_n mod p for n = 0..min(period, cap)-1 for a zero.
 
     A "divisor" result carries the least witness index; "nondivisor" is
     only reported after a full period was scanned, so an uncapped run is a
-    complete decision procedure. An odd p hands a_0..a_{BLOCK+2d-2} off term_stream
-    to _block_scan, which scans from n = 0. The packing needs an odd
-    modulus, so p = 2 is decided from a_0..a_d: with c_0 odd and no zero
-    among a_0..a_{d-1}, every one of them is 1, so a_d is either the least
-    zero or 1, and then the initial state returns after one step.
+    complete decision procedure. An odd p hands its head a_0..a_{BLOCK+2d-2}
+    mod p (_head) to _block_scan, which scans from n = 0. The head is the
+    sequence's cached exact prefix reduced mod p, continued by the stream
+    where the prefix stops short, so a call pays about 30 us for it at
+    orders 3 and 4, where 517-519 stream steps took 35-94 us; the whole
+    call takes 54-82 us at p = 101 to 1,000,003 when it ends in the first
+    block. The packing needs an odd modulus, so p = 2 is decided from
+    a_0..a_d: with c_0 odd and no zero among a_0..a_{d-1}, every one of
+    them is 1, so a_d is either the least zero or 1, and then the initial
+    state returns after one step.
     """
     if spec.coeffs[0] % p == 0:
         raise ValueError("not purely periodic")
     d = spec.order
-    ks, s0 = _mod_recurrence(spec, p)
-    stream = _stream(d)(ks, s0, p)
+    ks, _ = _mod_recurrence(spec, p)
     if p != 2:
-        return _block_scan(ks, list(islice(stream, BLOCK + 2 * d - 1)), p, cap)
-    head = list(islice(stream, d + 1))
+        return _block_scan(ks, _head(spec, ks, p, BLOCK + 2 * d - 1), p, cap)
+    head = _head(spec, ks, p, d + 1)
     if 0 in head:
         zero = head.index(0)
         if zero < cap:

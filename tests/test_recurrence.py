@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -6,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiv.arith import all_divisors, factor_integer, is_prime, mult_order, sieve_primes
+from recdiv.charpoly import check_bounds
 from recdiv.fppoly import _mul, _rem, pattern
 from recdiv.recurrence import (
     BLOCK,
+    HEAD_BITS,
     BruteResult,
     RecurrenceSpec,
     has_zero_bruteforce,
     term_mod,
     term_stream,
 )
-from recdiv.recurrence import _block_scan, _lane_bits, _lane_masks, _scan_kernel
+from recdiv.recurrence import (
+    _block_scan, _exact_prefix, _head, _lane_bits, _lane_masks, _scan_kernel,
+)
 
 from oracles import period_mod, term_int, term_iter
 
@@ -520,3 +525,94 @@ def test_block_scan_rejects_modulus_from_2_to_the_64():
     p = 2**64 - 59  # the largest prime below 2^64
     head = [pow(3, n, p) for n in range(BLOCK + 1)]
     assert _block_scan([3], head, p, 4 * BLOCK) == BruteResult("capped", steps=4 * BLOCK)
+
+
+@pytest.fixture
+def head_bits(monkeypatch):
+    """Sets the zero scan's bit cap HEAD_BITS; the prefix cache is emptied
+    at each setting and after the test."""
+    def set_bits(bits):
+        monkeypatch.setattr("recdiv.recurrence.HEAD_BITS", bits)
+        _exact_prefix.cache_clear()
+    yield set_bits
+    _exact_prefix.cache_clear()
+
+
+def _head_len(d):
+    return BLOCK + 2 * d - 1
+
+
+def _join_caps(spec):
+    """(end, bit cap) pairs whose prefix ends at d (the init alone), inside
+    the first block, at BLOCK - 1, BLOCK and BLOCK + d - 1, or at the first
+    wider term after, and at the end of the head: each cap is the widest
+    term before its end."""
+    d = spec.order
+    bits = [t.bit_length() for t in islice(term_iter(spec), _head_len(d))]
+    ends = (d, d + 37, BLOCK - 1, BLOCK, BLOCK + d - 1, _head_len(d))
+    return [(end, max(bits[d:end], default=-1)) for end in ends]
+
+
+def _steep(d):
+    """a_{n+d} = 3 a_{n+d-1} + a_{n+d-2} + ... + a_n from positive terms: its
+    terms widen at every step, so every cap of _join_caps ends the prefix
+    exactly at its end."""
+    return RecurrenceSpec((-1,) * (d - 1) + (-3,), tuple(range(1, d + 1)))
+
+
+def test_head_joins_prefix_and_stream_at_every_end(head_bits):
+    # the head built across each join equals the stream and the scan the reference
+    steep = [_steep(d) for d in range(1, 7)]
+    cases = [(spec, p) for d in range(1, 7) for spec in [*_oracle_specs(d), steep[d - 1]]
+             for p in (3, 7, 101, 12289) if spec.coeffs[0] % p]
+    cases += [(spec, p) for spec, p, _ in _first_block_cases()]
+    for spec, p in cases:
+        d = spec.order
+        stream = list(islice(term_stream(spec, p), _head_len(d)))
+        caps = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK)
+        want = [_reference_zero_scan(spec, p, cap) for cap in caps]
+        ks = [-c % p for c in spec.coeffs]
+        for end, bits in _join_caps(spec):
+            head_bits(bits)
+            assert _head(spec, ks, p, _head_len(d)) == stream, (spec.fingerprint(), p, end)
+            length = len(_exact_prefix(spec))
+            assert length == end if spec in steep else length >= end, (spec.fingerprint(), end)
+            for cap, ref in zip(caps, want):
+                assert has_zero_bruteforce(spec, p, cap) == ref, (spec.fingerprint(), p, end, cap)
+
+
+def test_head_at_moduli_of_two_and_three_digits(head_bits):
+    # p = 2^31 - 1 and 2^61 - 1 are CPython ints of two and three 30-bit digits
+    rng = random.Random(31)
+    for p in (2**31 - 1, 2**61 - 1):
+        specs = [RecurrenceSpec((-1, -1, -1), (1, 1, 1)), _zero_at(3, p, BLOCK + 5, rng),
+                 _zero_at(4, p, 2 * BLOCK - 3, rng)]
+        for spec in specs:
+            for end, bits in _join_caps(spec)[1:]:
+                head_bits(bits)
+                for cap in (BLOCK, 2 * BLOCK, 3 * BLOCK):
+                    got = has_zero_bruteforce(spec, p, cap)
+                    want = _reference_zero_scan(spec, p, cap)
+                    assert got == want, (spec.fingerprint(), p, end, cap)
+        assert has_zero_bruteforce(specs[1], p, 3 * BLOCK).witness == BLOCK + 5
+
+
+def test_prefix_of_wide_coefficients_respects_the_bit_cap():
+    # coefficients of about 1,000 and 900 bits, inside analyze_poly's bounds:
+    # a_d is about as wide and a_(d+1) twice as wide, so the walk stops there
+    rng = random.Random(9)
+    for d, width in ((2, 1000), (3, 900)):
+        spec = RecurrenceSpec(tuple(rng.getrandbits(width) | 1 << width - 1 for _ in range(d)),
+                              (1,) * d)
+        check_bounds(list(spec.char_poly()))
+        prefix = _exact_prefix(spec)
+        assert len(prefix) == d + 1
+        assert max(t.bit_length() for t in prefix) <= HEAD_BITS
+        cap = 3 * BLOCK
+        for p in (3, 101, 12289, 1_000_003, 2**61 - 1):
+            if spec.coeffs[0] % p:
+                want = _reference_zero_scan(spec, p, cap)
+                assert has_zero_bruteforce(spec, p, cap) == want, (d, p)
+    # the worst case the cache can hold: every term of a head at the cap
+    worst = _head_len(6) * sys.getsizeof(1 << HEAD_BITS)
+    assert _exact_prefix.cache_info().maxsize * worst < 8 * 2**20
